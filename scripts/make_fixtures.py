@@ -10,10 +10,9 @@ import dataclasses
 import json
 from pathlib import Path
 
-from steincheck.cli import FIXTURE_NOTES, _member_json
 from steincheck.handle import FramedLinkPresentation
 from steincheck.intlin import IntMatrix
-from steincheck.surgery import x_family
+from steincheck.surgery import FIXTURE_NOTES, member_json, x_family
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -43,7 +42,7 @@ def main() -> None:
     write("x_form.json", x_family(0).manifold.form.to_json_obj())
     write("x2_form.json", x_family(2).manifold.form.to_json_obj())
 
-    members = [_member_json(x_family(p)) for p in range(0, 11)]
+    members = [member_json(x_family(p)) for p in range(0, 11)]
     write("x_family.json", {"meta": FIXTURE_NOTES, "members": members})
 
     y_meta = dict(FIXTURE_NOTES)
@@ -57,7 +56,7 @@ def main() -> None:
     for p in range(1, 11):
         member = x_family(p)
         renamed = dataclasses.replace(member, manifold=dataclasses.replace(member.manifold, name="Y_%d" % p))
-        y_members.append(_member_json(renamed))
+        y_members.append(member_json(renamed))
     write("y_family.json", {"meta": y_meta, "members": y_members})
 
 

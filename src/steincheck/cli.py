@@ -26,32 +26,21 @@ from .obstruct import (
     adjunction_lower_bound,
     certificate_csv_rows,
     certificate_text,
-    homeo_decide,
+    homeo_classes,
     infinitude_report,
 )
 from .quadform import QuadraticForm, classify, is_isomorphic, pairing, solve_square
 from .surgery import (
+    FIXTURE_NOTES,
     LogTransformFamilyMember,
     compose,
     fp_matrix,
+    member_json,
     normalized_form,
     stabilizes_summand,
     v_family_homology,
     x_family,
 )
-
-FIXTURE_NOTES = {
-    "euler_sig": (
-        "euler = 2 and sig = 0 are fixture data for the rank-2 family: they "
-        "come from the handle counts (one 0-handle, two 1-handles, three "
-        "2-handles) and the stated intersection form, not from diagram data"
-    ),
-    "stein": (
-        "the stein flag records that members carry Stein structures coming "
-        "from Legendrian handle pictures; it is fixture metadata, not a "
-        "computed fact"
-    ),
-}
 
 
 class CliInputError(Exception):
@@ -97,12 +86,6 @@ def _load_link(path: str) -> FramedLinkPresentation:
 def _has_even_form(p: int) -> bool:
     # the parity rule under test: the p = 0 member and odd p carry even forms
     return p == 0 or p % 2 == 1
-
-
-def _member_json(member: LogTransformFamilyMember) -> dict:
-    obj = member.to_json_obj()
-    obj["normalized_form"] = normalized_form(member).to_json_obj()
-    return obj
 
 
 def _member_text(member: LogTransformFamilyMember) -> str:
@@ -158,10 +141,10 @@ def _cmd_family_x(args) -> int:
         members = [x_family(p) for p in range(lo, hi + 1)]
     if args.output == "json":
         if args.p is not None:
-            _emit_json(_member_json(members[0]))
+            _emit_json(member_json(members[0]))
         else:
             _emit_json(
-                {"meta": FIXTURE_NOTES, "members": [_member_json(m) for m in members]}
+                {"meta": FIXTURE_NOTES, "members": [member_json(m) for m in members]}
             )
     else:
         for member in members:
@@ -173,12 +156,13 @@ def _cmd_lemma_homeo(args) -> int:
     if args.max_p < 1:
         raise CliInputError("--max-p must be >= 1")
     ps = list(range(0, args.max_p + 1))
-    members = {p: x_family(p) for p in ps}
+    members = [x_family(p) for p in ps]
+    classes = homeo_classes([m.manifold for m in members])
     pairs = []
     all_match = True
-    for i, p in enumerate(ps):
-        for q in ps[i:]:
-            verdict = homeo_decide(members[p].manifold, members[q].manifold)
+    for p in ps:
+        for q in ps[p:]:
+            verdict = classes.verdict(p, q)
             expected = _has_even_form(p) == _has_even_form(q)
             got = verdict == "homeomorphic"
             match = got == expected and verdict in ("homeomorphic", "not_homeomorphic")
@@ -200,7 +184,7 @@ def _cmd_lemma_homeo(args) -> int:
         for p in ps:
             cells = []
             for q in ps:
-                verdict = homeo_decide(members[p].manifold, members[q].manifold)
+                verdict = classes.verdict(p, q)
                 cells.append(("H" if verdict == "homeomorphic" else ".").rjust(width))
             print(names[p].rjust(width) + " " + " ".join(cells))
         print(

@@ -93,18 +93,16 @@ def adjunction_lower_bound(M: AlgebraicFourManifold, v: Sequence[int]) -> GenusB
     )
 
 
+def _hypotheses_hold(M: AlgebraicFourManifold) -> bool:
+    return M.simply_connected and M.boundary_homology_sphere
+
+
 def homeo_decide(M: AlgebraicFourManifold, N: AlgebraicFourManifold) -> str:
     """Homeomorphism decision for simply connected 4-manifolds whose
     boundaries are homology spheres, by the topological classification via
     intersection forms (Freedman); one of "homeomorphic",
     "not_homeomorphic", "inapplicable"."""
-    applicable = (
-        M.simply_connected
-        and N.simply_connected
-        and M.boundary_homology_sphere
-        and N.boundary_homology_sphere
-    )
-    if not applicable:
+    if not (_hypotheses_hold(M) and _hypotheses_hold(N)):
         return "inapplicable"
     verdict = is_isomorphic(M.form, N.form)
     if verdict == "yes":
@@ -112,6 +110,62 @@ def homeo_decide(M: AlgebraicFourManifold, N: AlgebraicFourManifold) -> str:
     if verdict == "no":
         return "not_homeomorphic"
     return "inapplicable"
+
+
+@dataclass(frozen=True)
+class HomeoClasses:
+    """A list of manifolds split into homeomorphism classes.
+
+    ``class_of[i]`` is the class of the i-th manifold, ``representatives[c]``
+    the first manifold of class c, and ``between[c, d]`` (c > d) the
+    homeo_decide verdict of the two representatives.
+    """
+
+    class_of: tuple[int, ...]
+    representatives: tuple[AlgebraicFourManifold, ...]
+    between: dict[tuple[int, int], str]
+
+    def verdict(self, i: int, j: int) -> str:
+        """The verdict for the i-th and j-th manifolds, read off the classes.
+
+        Within a class it is "homeomorphic", or "inapplicable" when the
+        representative fails the hypotheses (such a class has no other
+        member); across classes it is the representatives' verdict, which
+        transitivity carries over to every member.
+        """
+        c, d = self.class_of[i], self.class_of[j]
+        if c == d:
+            rep = self.representatives[c]
+            return "homeomorphic" if _hypotheses_hold(rep) else "inapplicable"
+        return self.between[max(c, d), min(c, d)]
+
+
+def homeo_classes(manifolds: Sequence[AlgebraicFourManifold]) -> HomeoClasses:
+    """Split manifolds into homeomorphism classes with one homeo_decide call
+    per manifold and earlier class representative, at most.
+
+    A manifold joins the first class whose representative it is
+    homeomorphic to, and otherwise opens a new class; by then it has been
+    compared with every earlier representative, so the verdicts between
+    representatives are all known.
+    """
+    class_of: list[int] = []
+    representatives: list[AlgebraicFourManifold] = []
+    between: dict[tuple[int, int], str] = {}
+    for M in manifolds:
+        verdicts = []
+        for c, rep in enumerate(representatives):
+            verdict = homeo_decide(rep, M)
+            if verdict == "homeomorphic":
+                class_of.append(c)
+                break
+            verdicts.append(verdict)
+        else:
+            new = len(representatives)
+            between.update(((new, c), v) for c, v in enumerate(verdicts))
+            class_of.append(new)
+            representatives.append(M)
+    return HomeoClasses(tuple(class_of), tuple(representatives), between)
 
 
 def class_rigidity(member: LogTransformFamilyMember) -> bool:
@@ -150,11 +204,8 @@ def infinitude_report(parity: str, q_range: Sequence[int]) -> InfinitudeCertific
     members = [_member_for(parity, q) for q in qs]
     bounds = [adjunction_lower_bound(m.manifold, m.s_class).lower_bound for m in members]
     rigidity = [class_rigidity(m) for m in members]
-    all_homeo = all(
-        homeo_decide(members[i].manifold, members[j].manifold) == "homeomorphic"
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
+    classes = homeo_classes([m.manifold for m in members])
+    all_homeo = len(classes.representatives) == 1 and classes.verdict(0, 0) == "homeomorphic"
     increasing = all(bounds[i] < bounds[i + 1] for i in range(len(bounds) - 1))
     conclusion = len(members) >= 2 and all_homeo and all(rigidity) and increasing
 

@@ -107,6 +107,27 @@ def normalized_form(member: LogTransformFamilyMember) -> QuadraticForm:
     return QuadraticForm(gram, labels)
 
 
+FIXTURE_NOTES = {
+    "euler_sig": (
+        "euler = 2 and sig = 0 are fixture data for the rank-2 family: they "
+        "come from the handle counts (one 0-handle, two 1-handles, three "
+        "2-handles) and the stated intersection form, not from diagram data"
+    ),
+    "stein": (
+        "the stein flag records that members carry Stein structures coming "
+        "from Legendrian handle pictures; it is fixture metadata, not a "
+        "computed fact"
+    ),
+}
+
+
+def member_json(member: LogTransformFamilyMember) -> dict:
+    """The member's JSON object with its normalized form added."""
+    obj = member.to_json_obj()
+    obj["normalized_form"] = normalized_form(member).to_json_obj()
+    return obj
+
+
 @dataclass(frozen=True)
 class TorusMappingClass:
     """Isotopy class of an orientation-preserving self-diffeomorphism of the

@@ -229,6 +229,24 @@ class TestCertificateCommand:
         assert len(lines) == 4
 
 
+GOLDEN_COMMANDS = {
+    "lemma_homeo_p12.txt": ("lemma", "homeo", "--max-p", "12"),
+    "lemma_homeo_p12.json": ("lemma", "homeo", "--max-p", "12", "--output", "json"),
+    "lemma_homeo_p12.csv": ("lemma", "homeo", "--max-p", "12", "--output", "csv"),
+    "certificate_even_q1_12.txt": ("certificate", "--parity", "even", "--q-range", "1..12"),
+    "certificate_even_q1_12.csv": (
+        "certificate", "--parity", "even", "--q-range", "1..12", "--output", "csv"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_golden(capsys, name):
+    code, out, _ = invoke(capsys, *GOLDEN_COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 class TestHomologyCommands:
     def test_boundary_homology_sphere(self, capsys):
         code, out, _ = invoke(capsys, "homology", "boundary", str(FIXTURES / "x_shadow_link.json"))

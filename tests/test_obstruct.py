@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+from steincheck import obstruct
+from steincheck.cli import run
 from steincheck.handle import AlgebraicFourManifold
 from steincheck.intlin import IntMatrix
 from steincheck.obstruct import (
@@ -10,6 +12,7 @@ from steincheck.obstruct import (
     certificate_csv_rows,
     certificate_text,
     class_rigidity,
+    homeo_classes,
     homeo_decide,
     infinitude_report,
 )
@@ -125,6 +128,79 @@ class TestHomeoDecide:
         m = AlgebraicFourManifold(form=QuadraticForm(gram), name="a", **base)
         n = AlgebraicFourManifold(form=QuadraticForm(other), name="b", **base)
         assert homeo_decide(m, n) == "inapplicable"
+
+
+def synthetic_manifold(gram_rows):
+    return synthetic_member(gram_rows, (0, 0), c1=(0,) * len(gram_rows)).manifold
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Every homeo_decide call made through the obstruct module."""
+    calls = []
+
+    def counting(M, N):
+        calls.append((M.name, N.name))
+        return homeo_decide(M, N)
+
+    monkeypatch.setattr(obstruct, "homeo_decide", counting)
+    return calls
+
+
+class TestHomeoClasses:
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_certificate_decisions_are_linear(self, capsys, decisions, parity):
+        assert run(["certificate", "--parity", parity, "--q-range", "1..200"]) == 0
+        capsys.readouterr()
+        assert 0 < len(decisions) <= 3 * 200
+
+    def test_lemma_homeo_decisions_are_linear(self, capsys, decisions):
+        assert run(["lemma", "homeo", "--max-p", "80", "--output", "json"]) == 0
+        capsys.readouterr()
+        assert 0 < len(decisions) <= 3 * 81
+
+    def test_matches_pairwise_decisions_on_family(self):
+        manifolds = [x_family(p).manifold for p in range(0, 31)]
+        classes = homeo_classes(manifolds)
+        assert len(classes.representatives) == 2
+        for i, M in enumerate(manifolds):
+            for j, N in enumerate(manifolds):
+                assert classes.verdict(i, j) == homeo_decide(M, N), (i, j)
+
+    def test_failed_hypotheses_are_inapplicable_even_on_the_diagonal(self):
+        m = x_family(1).manifold
+        bad = dataclasses.replace(m, simply_connected=False)
+        classes = homeo_classes([m, bad, x_family(3).manifold])
+        assert classes.class_of == (0, 1, 0)
+        for i in range(3):
+            assert classes.verdict(i, 1) == "inapplicable"
+            assert classes.verdict(1, i) == "inapplicable"
+        assert classes.verdict(0, 2) == "homeomorphic"
+
+    def test_undecided_forms_stay_apart(self):
+        # x^2 + 6y^2 and 2x^2 + 3y^2 share every invariant the decision
+        # uses, and the basis search finds no equivalence
+        a = synthetic_manifold([[1, 0], [0, 6]])
+        b = synthetic_manifold([[2, 0], [0, 3]])
+        classes = homeo_classes([a, b])
+        assert classes.class_of == (0, 1)
+        assert classes.verdict(0, 1) == classes.verdict(1, 0) == "inapplicable"
+        assert classes.verdict(0, 0) == classes.verdict(1, 1) == "homeomorphic"
+
+    def test_differing_invariants_give_distinct_classes(self):
+        manifolds = [
+            x_family(1).manifold,  # even, signature 0
+            x_family(2).manifold,  # odd, signature 0
+            synthetic_manifold([[1, 0], [0, 1]]),  # signature 2
+            synthetic_manifold([[1, 0, 0], [0, 1, 0], [0, 0, -1]]),  # rank 3
+            x_family(5).manifold,
+        ]
+        classes = homeo_classes(manifolds)
+        assert classes.class_of == (0, 1, 2, 3, 0)
+        for i in range(4):
+            for j in range(4):
+                expected = "homeomorphic" if i == j else "not_homeomorphic"
+                assert classes.verdict(i, j) == expected
 
 
 class TestClassRigidity:
