@@ -6,7 +6,6 @@ family files are the manifold fixtures (chi and sigma are fixture data
 derived from handle counts, see the meta notes).
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -44,20 +43,6 @@ def main() -> None:
 
     members = [member_json(x_family(p)) for p in range(0, 11)]
     write("x_family.json", {"meta": FIXTURE_NOTES, "members": members})
-
-    y_meta = dict(FIXTURE_NOTES)
-    y_meta["identification"] = (
-        "the reglued-torus members carry the same framed-link data as the "
-        "log-transform members of equal parameter; the files duplicate that "
-        "data under Y labels, and the identification is an input assumption "
-        "of the fixtures, not a computed fact"
-    )
-    y_members = []
-    for p in range(1, 11):
-        member = x_family(p)
-        renamed = dataclasses.replace(member, manifold=dataclasses.replace(member.manifold, name="Y_%d" % p))
-        y_members.append(member_json(renamed))
-    write("y_family.json", {"meta": y_meta, "members": y_members})
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .handle import (
     c1_square,
     d3,
 )
-from .intlin import determinant, format_rational, signature
+from .intlin import determinant, signature
 from .obstruct import (
     adjunction_lower_bound,
     certificate_csv_rows,
@@ -285,15 +285,15 @@ def _cmd_d3(args) -> int:
     if args.output == "json":
         _emit_json(
             {
-                "d3": format_rational(value),
-                "c1_square": format_rational(c1_square(link)),
+                "d3": str(value),
+                "c1_square": str(c1_square(link)),
                 "chi": 1 + link.n,
                 "sigma": signature(link.linking),
                 "boundary_homology_sphere": abs(determinant(link.linking)) == 1,
             }
         )
     else:
-        print(format_rational(value))
+        print(value)
     return 0
 
 

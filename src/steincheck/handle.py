@@ -113,22 +113,6 @@ class AlgebraicFourManifold:
             "stein": self.stein,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "AlgebraicFourManifold":
-        required = {"form", "c1", "euler", "sig", "simply_connected", "boundary_homology_sphere"}
-        if not isinstance(obj, dict) or not required.issubset(obj):
-            raise ValueError("manifold JSON must be an object with keys %s" % sorted(required))
-        return cls(
-            form=QuadraticForm.from_json_obj(obj["form"]),
-            c1=vector_from_json(obj["c1"]),
-            euler=int(obj["euler"]),
-            sig=int(obj["sig"]),
-            simply_connected=bool(obj["simply_connected"]),
-            boundary_homology_sphere=bool(obj["boundary_homology_sphere"]),
-            name=str(obj.get("name", "")),
-            stein=bool(obj.get("stein", False)),
-        )
-
 
 @dataclass(frozen=True)
 class SteinFramingReport:

@@ -11,10 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-# Exact rational scalar.  Fraction already keeps lowest terms and a positive
-# denominator, which is the canonical form used for all serialized output.
-Rational = Fraction
-
 
 class DegenerateLinkingFormError(ValueError):
     """Raised when a singular matrix blocks an exact linear solve."""
@@ -112,8 +108,6 @@ class SmithDecomposition:
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    source_rows: int
-    source_cols: int
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.D.rows, self.D.cols)
@@ -276,8 +270,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         U=IntMatrix.from_rows(U),
         D=IntMatrix.from_rows(D),
         V=IntMatrix.from_rows(V),
-        source_rows=rows,
-        source_cols=cols,
     )
 
 
@@ -445,8 +437,3 @@ def vector_from_json(obj) -> tuple[int, ...]:
     if not isinstance(obj, list):
         raise ValueError("vector JSON must be an array")
     return tuple(_parse_int(e) for e in obj)
-
-
-def format_rational(x: Fraction) -> str:
-    """Canonical 'a/b' (lowest terms, positive denominator) or plain 'a'."""
-    return str(x)

@@ -3,14 +3,12 @@ isomorphism decisions, and exact solving of v.v = c on rank-2 forms."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .intlin import (
     IntMatrix,
-    congruence_transform,
     determinant,
     inertia,
     matrix_from_json,
@@ -20,7 +18,8 @@ from .intlin import (
 EVEN = "even"
 ODD = "odd"
 
-DEFAULT_ISO_SEARCH_BOUND = 10
+# Steps per cycle walk before a rank-2 comparison is left undecided.
+_RHO_STEP_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -126,15 +125,15 @@ def pairing(F: QuadraticForm, u: Sequence[int], v: Sequence[int]) -> int:
     return sum(u[i] * g[i][j] * v[j] for i in range(F.rank) for j in range(F.rank))
 
 
-def is_isomorphic(F: QuadraticForm, G: QuadraticForm, bound: int = DEFAULT_ISO_SEARCH_BOUND) -> str:
+def is_isomorphic(F: QuadraticForm, G: QuadraticForm) -> str:
     """Decide integral equivalence; one of "yes", "no", "undecided".
 
     Rank, determinant, signature, and parity are congruence invariants, so
     any mismatch is a definitive "no".  When the invariants agree and both
     forms are unimodular and indefinite, the classification of indefinite
     unimodular forms by (rank, signature, parity) gives a definitive "yes".
-    Otherwise rank <= 2 forms get a bounded search over basis changes, and
-    anything that remains is reported as undecided rather than guessed.
+    Rank-2 forms are decided by reduction (_binary_equivalent); anything
+    that remains is reported as undecided rather than guessed.
     """
     if F.gram.entries == G.gram.entries:
         return "yes"
@@ -145,21 +144,71 @@ def is_isomorphic(F: QuadraticForm, G: QuadraticForm, bound: int = DEFAULT_ISO_S
         return "no"
     if cf.unimodular and cf.definiteness == "indefinite":
         return "yes"
-    if cf.rank <= 2 and _bounded_basis_search(F.gram, G.gram, bound):
-        return "yes"
-    return "undecided"
+    same = _binary_equivalent(F.gram, G.gram) if cf.rank == 2 else None
+    return "undecided" if same is None else "yes" if same else "no"
 
 
-def _bounded_basis_search(f: IntMatrix, g: IntMatrix, bound: int) -> bool:
-    n = f.rows
-    if n == 0:
-        return True
-    span = range(-bound, bound + 1)
-    for flat in itertools.product(span, repeat=n * n):
-        B = IntMatrix.from_rows([flat[i * n:(i + 1) * n] for i in range(n)])
-        if determinant(B) in (1, -1) and congruence_transform(f, B).entries == g.entries:
+def _binary_equivalent(f: IntMatrix, g: IntMatrix) -> Optional[bool]:
+    """GL2(Z)-equivalence of Gram matrices [[a, b], [b, c]] of equal D = b^2 - ac.
+    Forms with D <= 0 or D a square have a unique reduced representative.
+    Otherwise G ~ F iff a reduced form of G or of its mirror lies on F's cycle
+    of reduced forms (Buell, Binary Quadratic Forms, ch. 3; Cohen, 5.6), which
+    grows like sqrt(D); None when that walk passes _RHO_STEP_CAP steps."""
+    (a, b), (_, c) = f.entries
+    (a2, b2), (_, c2) = g.entries
+    D = b * b - a * c
+    s = isqrt(max(D, 0))
+    if D < 0 or s * s == D:
+        return _canonical_binary(a, b, c, D) == _canonical_binary(a2, b2, c2, D)
+    reduced = []  # O(log |c|) steps reach 0 < b <= s, s - b < |a| <= s + b
+    for form in (a, b, c), (a2, b2, c2), (a2, -b2, c2):
+        while not (0 < form[1] <= s and s - form[1] < abs(form[0]) <= s + form[1]):
+            form = _rho(form, D, s)
+        reduced.append(form)
+    start = form = reduced[0]
+    for _ in range(_RHO_STEP_CAP):
+        if form in reduced[1:]:
             return True
-    return False
+        form = _rho(form, D, s)
+        if form == start:
+            return False
+    return None
+
+
+def _canonical_binary(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
+    """Reduced GL2(Z) representative of [[a, b], [b, c]] for D <= 0 or D a square."""
+    if D < 0:
+        # Lagrange reduction to 2|b| <= a <= c; the mirror diag(1, -1) flips b
+        sign = 1 if a > 0 else -1
+        a, b, c = sign * a, sign * b, sign * c
+        while True:
+            k = (2 * b + a) // (2 * a)
+            b, c = b - k * a, c - k * (2 * b - k * a)
+            if a <= c:
+                return sign * a, sign * abs(b), sign * c
+            a, c = c, a
+    if D == 0:
+        # k (ux + vy)^2 with gcd(u, v) = 1 is equivalent to k x^2
+        return (gcd(a, c) if a + c > 0 else -gcd(a, c)), 0, 0
+    # primitive isotropic u, basis (u, w): [[0, +-r], [+-r, w.w]], w.w fixed mod 2r
+    r = isqrt(D)
+    best = []
+    for x, y in [(r - b, a), (-r - b, a)] if a else [(1, 0), (c, -2 * b)]:
+        h = gcd(x, y)
+        x, y = x // h, y // h
+        wt = pow(x, -1, abs(y)) if y else x
+        ws = (x * wt - 1) // y if y else 0  # x wt - y ws = 1
+        best.append((a * ws * ws + 2 * b * ws * wt + c * wt * wt) % (2 * r))
+    return 0, r, min(best)
+
+
+def _rho(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
+    """Gauss's neighbour (c, b', (b'^2 - D)/c) of (a, b, c), with b' = -b mod c
+    in (t - |c|, t] for t = s = isqrt(D) if c^2 < 4D, else t = |c|/2 (Cohen, 5.6)."""
+    _, b, c = form
+    t = s if c * c < 4 * D else abs(c) // 2
+    b2 = t - (t + b) % abs(c)
+    return c, b2, (b2 * b2 - D) // c
 
 
 @dataclass(frozen=True)
@@ -179,13 +228,8 @@ class SquareSolutions:
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def solve_square(F: QuadraticForm, c: int, bound: int = 100) -> SquareSolutions:
@@ -203,25 +247,17 @@ def solve_square(F: QuadraticForm, c: int, bound: int = 100) -> SquareSolutions:
     g = F.gram.entries
     e = g[0][1]
 
-    if c != 0 and e != 0 and g[0][0] == 0:
-        d = g[1][1]
+    if c != 0 and e != 0 and 0 in (g[0][0], g[1][1]):
+        # isotropic basis vector first: 2e*a*b + d*b^2 = c, a = (c/b - d*b) / (2e)
+        swap = g[0][0] != 0
+        d = g[0][0] if swap else g[1][1]
         sols = []
         for b in _divisors(c):
             for b_signed in (b, -b):
-                # v.v = 2e*a*b + d*b^2 = c  =>  a = (c/b - d*b) / (2e)
                 num = c // b_signed - d * b_signed
                 if num % (2 * e) == 0:
-                    sols.append((num // (2 * e), b_signed))
-        return SquareSolutions(tuple(sorted(set(sols))), complete=True)
-
-    if c != 0 and e != 0 and g[1][1] == 0:
-        d = g[0][0]
-        sols = []
-        for a in _divisors(c):
-            for a_signed in (a, -a):
-                num = c // a_signed - d * a_signed
-                if num % (2 * e) == 0:
-                    sols.append((a_signed, num // (2 * e)))
+                    v = (num // (2 * e), b_signed)
+                    sols.append(v[::-1] if swap else v)
         return SquareSolutions(tuple(sorted(set(sols))), complete=True)
 
     sols = []

@@ -15,7 +15,6 @@ from .intlin import (
     cokernel,
     congruence_transform,
     determinant,
-    matrix_from_json,
     vector_to_json,
 )
 from .quadform import QuadraticForm
@@ -148,10 +147,6 @@ class TorusMappingClass:
 
     def to_json_obj(self) -> list[list[int]]:
         return self.matrix.to_lists()
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "TorusMappingClass":
-        return cls(matrix_from_json(obj))
 
 
 def fp_matrix(p: int) -> TorusMappingClass:

@@ -3,12 +3,14 @@
 Nothing in this module calls the implementations under test: determinants
 come from permutation expansion, invariant factors from gcds of minors,
 inertia from the characteristic polynomial via Descartes' rule (exact for
-symmetric matrices, whose eigenvalues are all real), and solution sets from
-exhaustive enumeration.
+symmetric matrices, whose eigenvalues are all real), solution sets from
+exhaustive enumeration, and classes of binary forms from a table of reduced
+forms or from a search over generators of GL2(Z).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from math import gcd
@@ -164,3 +166,44 @@ def random_unimodular_matrix(rng: random.Random, n: int, steps: int = 12) -> lis
             q = rng.randint(-3, 3)
             m[i] = [x + q * y for x, y in zip(m[i], m[j])]
     return m
+
+
+def reduced_definite_forms(det: int) -> list[tuple[int, int, int]]:
+    """The GL2(Z) classes of positive definite Gram matrices [[a, b], [b, c]]
+    of determinant det, one triple (a, b, c) with 0 <= 2b <= a <= c each.
+
+    Every class has a Lagrange-reduced member with 2|b| <= a <= c, unique up
+    to the sign of b, which the mirror diag(1, -1) flips."""
+    out = []
+    a = 1
+    while 3 * a * a <= 4 * det:
+        for b in range(0, a // 2 + 1):
+            if (det + b * b) % a == 0 and (det + b * b) // a >= a:
+                out.append((a, b, (det + b * b) // a))
+        a += 1
+    return out
+
+
+def orbit_classes(forms, box: int) -> dict[tuple[int, int, int], int]:
+    """Class labels of Gram triples (a, b, c) under GL2(Z), by breadth-first
+    search over the generators swap, mirror diag(1, -1) and the shears
+    e2 -> e2 +- e1, never leaving |entries| <= box.
+
+    A path that would leave the box is not followed, so two forms only share
+    a label when a chain of generators inside the box connects them; the
+    box has to be large enough for the forms at hand."""
+    label: dict[tuple[int, int, int], int] = {}
+    n = 0
+    for start in forms:
+        if start in label:
+            continue
+        n += 1
+        label[start] = n
+        queue = collections.deque([start])
+        while queue:
+            a, b, c = queue.popleft()
+            for nxt in ((c, b, a), (a, -b, c), (a, b + a, c + 2 * b + a), (a, b - a, c - 2 * b + a)):
+                if max(map(abs, nxt)) <= box and nxt not in label:
+                    label[nxt] = n
+                    queue.append(nxt)
+    return {f: label[f] for f in forms}

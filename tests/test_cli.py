@@ -123,12 +123,23 @@ class TestFormCommands:
         assert code == 0 and out.strip() == "no"
 
     def test_iso_undecided_exit_code(self, capsys, tmp_path):
+        # rank-3 definite forms: diag(2, 2, 2) and B^T F B for
+        # B = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"gram": [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]}))
+        b.write_text(json.dumps({"gram": [["2", "2", "0"], ["2", "4", "2"], ["0", "2", "4"]]}))
+        code, out, _ = invoke(capsys, "form", "iso", str(a), str(b))
+        assert code == 1 and out.strip() == "undecided"
+
+    def test_iso_decides_rank_two_definite_pairs(self, capsys, tmp_path):
+        # the two classes of discriminant -44
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         a.write_text(json.dumps({"gram": [["1", "0"], ["0", "11"]]}))
         b.write_text(json.dumps({"gram": [["3", "1"], ["1", "4"]]}))
         code, out, _ = invoke(capsys, "form", "iso", str(a), str(b))
-        assert code == 1 and out.strip() == "undecided"
+        assert code == 0 and out.strip() == "no"
 
 
 class TestFamilyCommand:

@@ -231,15 +231,6 @@ class TestValidationAndJson:
         assert obj["tb"] is None
         assert FramedLinkPresentation.from_json_obj(obj) == L
 
-    def test_manifold_round_trip(self):
-        m = x_family(5).manifold
-        again = AlgebraicFourManifold.from_json_obj(m.to_json_obj())
-        assert again == m
-
-    def test_manifold_missing_keys_rejected(self):
-        with pytest.raises(ValueError):
-            AlgebraicFourManifold.from_json_obj({"form": {"gram": []}})
-
     def test_c1_length_validated(self):
         with pytest.raises(ValueError):
             AlgebraicFourManifold(

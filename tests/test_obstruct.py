@@ -178,11 +178,18 @@ class TestHomeoClasses:
         assert classes.verdict(0, 2) == "homeomorphic"
 
     def test_undecided_forms_stay_apart(self):
-        # x^2 + 6y^2 and 2x^2 + 3y^2 share every invariant the decision
-        # uses, and the basis search finds no equivalence
+        # x^2 + 6y^2 and 2x^2 + 3y^2 share rank, signature, parity and
+        # determinant, and reduction tells them apart
         a = synthetic_manifold([[1, 0], [0, 6]])
         b = synthetic_manifold([[2, 0], [0, 3]])
         classes = homeo_classes([a, b])
+        assert classes.class_of == (0, 1)
+        assert classes.verdict(0, 1) == classes.verdict(1, 0) == "not_homeomorphic"
+        # rank-3 definite forms stay undecided, so their classes stay apart
+        # with an inapplicable verdict between them
+        c = synthetic_manifold([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        d = synthetic_manifold([[2, 2, 0], [2, 4, 2], [0, 2, 4]])
+        classes = homeo_classes([c, d])
         assert classes.class_of == (0, 1)
         assert classes.verdict(0, 1) == classes.verdict(1, 0) == "inapplicable"
         assert classes.verdict(0, 0) == classes.verdict(1, 1) == "homeomorphic"

@@ -1,7 +1,9 @@
 import random
+from math import isqrt
 
 import pytest
 
+import steincheck.quadform as quadform
 from steincheck.intlin import IntMatrix, congruence_transform
 from steincheck.quadform import (
     QuadraticForm,
@@ -12,7 +14,13 @@ from steincheck.quadform import (
     solve_square,
 )
 
-from oracles import brute_square_solutions, random_unimodular_matrix
+from oracles import (
+    box_square_solutions,
+    brute_square_solutions,
+    orbit_classes,
+    random_unimodular_matrix,
+    reduced_definite_forms,
+)
 
 
 def family_form(p):
@@ -82,7 +90,7 @@ class TestIsIsomorphic:
                 expected = "yes" if (p - q) % 2 == 0 else "no"
                 assert is_isomorphic(forms[p], forms[q]) == expected
 
-    def test_definite_found_by_search(self):
+    def test_definite_equivalent_by_reduction(self):
         F = Q([[2, 1], [1, 2]])
         B = IntMatrix.from_rows([[1, 1], [0, 1]])
         G = QuadraticForm(congruence_transform(F.gram, B))
@@ -95,7 +103,7 @@ class TestIsIsomorphic:
         # the two classes of discriminant -44: x^2 + 11y^2 and 3x^2 + 2xy + 4y^2
         F = Q([[1, 0], [0, 11]])
         G = Q([[3, 1], [1, 4]])
-        assert is_isomorphic(F, G) == "undecided"
+        assert is_isomorphic(F, G) == "no"
 
     def test_high_rank_definite_undecided(self):
         rng = random.Random(99)
@@ -106,6 +114,83 @@ class TestIsIsomorphic:
         assert verdict in ("yes", "undecided")  # rank 3: no search, only equality
         if G.gram.entries != F.gram.entries:
             assert verdict == "undecided"
+
+
+def binary(f):
+    a, b, c = f
+    return Q([[a, b], [b, c]])
+
+
+def random_image(rng, F):
+    B = IntMatrix.from_rows(random_unimodular_matrix(rng, 2, steps=rng.randint(2, 20)))
+    return QuadraticForm(congruence_transform(F.gram, B))
+
+
+class TestBinaryReduction:
+    """Rank-2 equivalence by reduction, against oracles that know nothing
+    of it: B^T F B for unimodular B, the table of reduced definite forms,
+    and a search over generators of GL2(Z)."""
+
+    def test_invariant_under_basis_change_in_every_discriminant_case(self):
+        # D = b^2 - ac negative, zero, a positive square, a positive non-square
+        rng = random.Random(11)
+        seen = {"negative": 0, "zero": 0, "square": 0, "non-square": 0}
+        while min(seen.values()) < 50:
+            if rng.random() < 0.1:
+                k, u, v = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)
+                a, b, c = k * u * u, k * u * v, k * v * v
+            else:
+                a, b, c = (rng.randint(-40, 40) for _ in range(3))
+            D = b * b - a * c
+            case = "negative" if D < 0 else "zero" if D == 0 else "square" if isqrt(D) ** 2 == D else "non-square"
+            if seen[case] < 50:
+                seen[case] += 1
+                F = binary((a, b, c))
+                assert is_isomorphic(F, random_image(rng, F)) == "yes", (a, b, c)
+
+    def test_definite_classes_match_reduced_form_table(self):
+        # positive definite for even det, negative definite for odd det
+        rng = random.Random(12)
+        for det in range(1, 101):
+            sign = 1 if det % 2 == 0 else -1
+            table = [tuple(sign * x for x in f) for f in reduced_definite_forms(det)]
+            for i, f in enumerate(table):
+                G = random_image(rng, binary(f))
+                for j, g in enumerate(table):
+                    expected = "yes" if i == j else "no"
+                    assert is_isomorphic(G, binary(g)) == expected, (det, f, g)
+
+    def test_small_indefinite_forms_match_orbit_search(self):
+        # every [[a, b], [b, c]] with |a|, |c| <= 6, 0 <= b <= 6 and b^2 > ac
+        forms = [(a, b, c) for a in range(-6, 7) for b in range(7) for c in range(-6, 7) if b * b > a * c]
+        label = orbit_classes(forms, box=40)
+        assert len(set(label.values())) == 182
+        reps = {}
+        for f in forms:
+            reps.setdefault(label[f], f)
+
+        def invariants(f):  # determinant and parity; the signature is 0
+            return f[1] ** 2 - f[0] * f[2], f[0] % 2 == f[2] % 2 == 0
+
+        for f in forms:
+            for k, r in reps.items():
+                if invariants(r) == invariants(f):
+                    expected = "yes" if label[f] == k else "no"
+                    assert is_isomorphic(binary(f), binary(r)) == expected, (f, r)
+
+    def test_long_cycles_are_undecided_past_the_step_cap(self, monkeypatch):
+        # x^2 - 181y^2 has 42 reduced forms on its cycle, and (-1, 13, 12) lies
+        # 21 steps along it.  x^2 + 12xy - 10y^2 and 5x^2 + 2xy - 9y^2 share
+        # every invariant but lie on different cycles of 12 forms each.
+        far = (binary((1, 0, -181)), binary((-1, 13, 12)))
+        apart = (binary((1, 6, -10)), binary((5, 1, -9)))
+        assert is_isomorphic(*far) == "yes"
+        assert is_isomorphic(*apart) == "no"
+        monkeypatch.setattr(quadform, "_RHO_STEP_CAP", 4)
+        assert is_isomorphic(*far) == "undecided"
+        assert is_isomorphic(*apart) == "undecided"
+        # (-10, 4, 3) is the neighbour of the reduced form (1, 6, -10)
+        assert is_isomorphic(binary((1, 6, -10)), binary((-10, 4, 3))) == "yes"
 
 
 class TestPairing:
@@ -177,6 +262,11 @@ class TestSolveSquare:
                 assert sols.complete
                 in_box = {v for v in sols.as_set() if max(abs(v[0]), abs(v[1])) <= 100}
                 assert in_box == brute_square_solutions(gram, c, 100), (d, c)
+                # the mirrored Gram matrix has the coordinates swapped
+                mirrored = solve_square(Q([[d, 1], [1, 0]]), c)
+                assert mirrored.complete
+                in_box = {v for v in mirrored.as_set() if max(abs(v[0]), abs(v[1])) <= 100}
+                assert in_box == {(b, a) for a, b in box_square_solutions(d, c, 100)}, (d, c)
 
     def test_bounded_mode_matches_brute_force(self):
         gram = [[2, 1], [1, 2]]
