@@ -1,0 +1,88 @@
+"""Scaling curves of the exact linear-algebra kernels.
+
+    PYTHONPATH=src python -m pytest bench --benchmark-json out.json
+
+Each case times one ``intlin`` kernel on a seeded random symmetric matrix
+with entries in [-9, 9], at n = 10, 20, 40 and 80.  ``extra_info`` holds the
+largest bit-length of any integer the kernel computed, measured in one
+separate, untimed call whose matrix entries record every arithmetic result,
+next to the bit-length of the determinant for scale.  ``bench/`` sits outside
+the tier-1 ``testpaths``, so the plain test run does not collect it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from steincheck.intlin import IntMatrix, cokernel, determinant, inertia, rational_solve
+
+SIZES = (10, 20, 40, 80)
+
+
+def symmetric_rows(n: int) -> list[list[int]]:
+    rng = random.Random(1000 + n)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+    return rows
+
+
+def solve(A: IntMatrix):
+    return rational_solve(A, list(range(1, A.rows + 1)))
+
+
+KERNELS = {
+    "determinant": determinant,
+    "inertia": inertia,
+    "rational_solve": solve,
+    "cokernel": cokernel,
+}
+
+
+def largest_bits(kernel, rows: list[list[int]]) -> int:
+    """Largest bit-length of an integer computed by ``kernel`` on ``rows``.
+
+    The entries are an ``int`` subclass whose arithmetic returns the same
+    subclass and records the size of each result, so every integer derived
+    from the input by integer arithmetic is seen.  A ``Fraction`` stores
+    plain ints, so values inside ``Fraction`` arithmetic are not.
+    """
+    peak = 0
+
+    class Tracked(int):
+        pass
+
+    def track(value):
+        nonlocal peak
+        if not isinstance(value, int):
+            return value  # NotImplemented, or a tuple from divmod
+        peak = max(peak, value.bit_length())
+        return Tracked(value)
+
+    for name in ("add", "sub", "mul", "floordiv", "mod"):
+        for slot in ("__%s__", "__r%s__"):
+            op = getattr(int, slot % name)
+            setattr(Tracked, slot % name, lambda a, b, op=op: track(op(a, b)))
+    Tracked.__neg__ = lambda a: track(int.__neg__(a))
+    Tracked.__divmod__ = lambda a, b: tuple(map(track, int.__divmod__(a, b)))
+    Tracked.__rdivmod__ = lambda a, b: tuple(map(track, int.__rdivmod__(a, b)))
+
+    n = len(rows)
+    kernel(IntMatrix(n, n, tuple(tuple(Tracked(e) for e in row) for row in rows)))
+    return peak
+
+
+@pytest.mark.parametrize("n", SIZES, ids=lambda n: "n%d" % n)
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_kernel(benchmark, name, n):
+    rows = symmetric_rows(n)
+    A = IntMatrix.from_rows(rows)
+    kernel = KERNELS[name]
+    benchmark.group = name
+    benchmark.extra_info["n"] = n
+    benchmark.extra_info["max_bits"] = largest_bits(kernel, rows)
+    benchmark.extra_info["det_bits"] = abs(determinant(A)).bit_length()
+    benchmark(kernel, A)

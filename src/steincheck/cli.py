@@ -17,11 +17,10 @@ from typing import Optional, Sequence
 
 from .handle import (
     FramedLinkPresentation,
+    _d3_terms,
     boundary_first_homology,
-    c1_square,
     d3,
 )
-from .intlin import determinant, signature
 from .obstruct import (
     adjunction_lower_bound,
     certificate_csv_rows,
@@ -281,19 +280,19 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_d3(args) -> int:
     link = _load_link(args.file)
-    value = d3(link)
     if args.output == "json":
+        value, csq, sig, det = _d3_terms(link)
         _emit_json(
             {
                 "d3": str(value),
-                "c1_square": str(c1_square(link)),
+                "c1_square": str(csq),
                 "chi": 1 + link.n,
-                "sigma": signature(link.linking),
-                "boundary_homology_sphere": abs(determinant(link.linking)) == 1,
+                "sigma": sig,
+                "boundary_homology_sphere": abs(det) == 1,
             }
         )
     else:
-        print(value)
+        print(d3(link))
     return 0
 
 

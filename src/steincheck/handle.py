@@ -190,13 +190,19 @@ def d3(L: FramedLinkPresentation) -> Fraction:
     a homology sphere the value still evaluates but depends on the torsion
     lift of c1, so a warning is emitted.
     """
+    return _d3_terms(L)[0]
+
+
+def _d3_terms(L: FramedLinkPresentation) -> tuple[Fraction, Fraction, int, int]:
+    """d3 together with the terms it is built from, each computed once:
+    (d3, c1^2, sigma, det of the linking matrix)."""
     csq = c1_square(L)
-    if abs(determinant(L.linking)) != 1:
+    det = determinant(L.linking)
+    if abs(det) != 1:
         warnings.warn(
             "d3 computed for a boundary that is not a homology sphere; "
             "the value depends on the chosen lift of c1 over torsion",
-            stacklevel=2,
+            stacklevel=3,
         )
-    chi = 1 + L.n
     sig = signature(L.linking)
-    return (csq - 3 * sig - 2 * chi) / 4
+    return (csq - 3 * sig - 2 * (1 + L.n)) / 4, csq, sig, det

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable, Optional, Sequence
 
 
 class DegenerateLinkingFormError(ValueError):
@@ -186,8 +187,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     Returns U, D, V with U @ A @ V = D, where D is diagonal with nonnegative
     entries satisfying d1 | d2 | ... and det(U), det(V) in {+1, -1}.  Pivots
-    are chosen by smallest nonzero absolute value, which keeps intermediate
-    entries small in practice.
+    are chosen by smallest nonzero absolute value, which does not bound the
+    entries: on random symmetric 10 x 10 matrices with entries in [-9, 9]
+    the entries of U and V reach about 28,000 bits.  ``cokernel`` does not
+    use this function.
     """
     rows, cols = A.rows, A.cols
     D = A.to_lists()
@@ -273,89 +276,173 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _bareiss_step(m: list[list[int]], k: int, targets: Iterable[int], prev: int) -> int:
+    """Clear column k from the rows ``targets`` against the pivot row k,
+    fraction-free: row_i <- (p * row_i - m[i][k] * row_k) / prev on the
+    columns after k, where p = m[k][k] and prev is the previous pivot.
+    Returns p.  The division is exact by the Bareiss identity (Sylvester's
+    determinant identity), and every new entry is a minor of the matrix
+    the elimination started from.
+    """
+    p = m[k][k]
+    tail = m[k][k + 1:]
+    for i in targets:
+        ri = m[i]
+        a = ri[k]
+        ri[k + 1:] = [(x * p - a * y) // prev for x, y in zip(ri[k + 1:], tail)]
+    return p
+
+
+def _move_pivot(m: list[list[int]], k: int, rows: int, cols: int) -> Optional[int]:
+    """Swap a nonzero entry of the trailing block into (k, k), searching
+    column by column.  Returns the number of swaps made, or None when the
+    trailing block is zero."""
+    piv = next(((i, j) for j in range(k, cols) for i in range(k, rows) if m[i][j]), None)
+    if piv is None:
+        return None
+    i, j = piv
+    m[k], m[i] = m[i], m[k]
+    if j != k:
+        for row in m:
+            row[k], row[j] = row[j], row[k]
+    return (i != k) + (j != k)
+
+
+def _bareiss(m: list[list[int]], rows: int, cols: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of ``m`` in place.
+
+    Pivots are taken from the current column first, then from later
+    columns.  Returns the rank r and the last pivot times the sign of the
+    row and column swaps: a nonzero r x r minor of the input, equal to the
+    determinant when the input is square and nonsingular.  After step k
+    every trailing entry is a (k+1) x (k+1) minor of the input, so no
+    intermediate value outgrows the input's minors.
+    """
+    sign = prev = 1
+    for k in range(min(rows, cols)):
+        swaps = _move_pivot(m, k, rows, cols)
+        if swaps is None:
+            return k, sign * prev
+        sign *= (-1) ** swaps
+        prev = _bareiss_step(m, k, range(k + 1, rows), prev)
+    return min(rows, cols), sign * prev
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
 def cokernel(A: IntMatrix) -> AbelianGroup:
-    """Z^rows modulo the column span of A, read off the Smith form."""
-    snf = smith_normal_form(A)
-    factors = snf.invariant_factors()
-    return AbelianGroup(
-        free_rank=A.rows - len(factors),
-        torsion=tuple(d for d in factors if d > 1),
-    )
+    """Z^rows modulo the column span of A.
+
+    Fraction-free elimination gives the rank r and D = |a nonzero r x r
+    minor|.  Every nonzero invariant factor divides the gcd of the r x r
+    minors, hence D, so they are the first r invariant factors of A over
+    Z/DZ.  Smith elimination over Z/DZ keeps every entry in [0, D); the
+    gcds of its pivots with D, normalised to a divisibility chain and
+    padded with D, are those invariant factors (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.4.14; Domich, Kannan and
+    Trotter 1987).
+    """
+    rows, cols = A.rows, A.cols
+    rank, minor = _bareiss(A.to_lists(), rows, cols)
+    N = abs(minor)
+    m = [[e % N for e in row] for row in A.entries]
+    factors = []
+    for t in range(min(rows, cols)):
+        if _move_pivot(m, t, rows, cols) is None:
+            break
+        while True:
+            # Clear column t with unimodular 2x2 row steps.  A step whose
+            # pivot does not divide the entry replaces the pivot by a proper
+            # divisor of it, so the loop ends.
+            rt = m[t]
+            for i in range(t + 1, rows):
+                ri = m[i]
+                a, b = rt[t], ri[t]
+                if not b:
+                    continue
+                if b % a == 0:
+                    q = b // a
+                    ri[t:] = [(y - q * x) % N for x, y in zip(rt[t:], ri[t:])]
+                else:
+                    g, x, y = _xgcd(a, b)
+                    a, b = a // g, b // g
+                    rt[t:], ri[t:] = (
+                        [(x * u + y * v) % N for u, v in zip(rt[t:], ri[t:])],
+                        [(a * v - b * u) % N for u, v in zip(rt[t:], ri[t:])],
+                    )
+            if not any(rt[t + 1:]):
+                break
+            # Row t is not clear: transpose, which keeps the cokernel's
+            # invariant factors, and clear it as a column.
+            m = [list(c) for c in zip(*m)]
+            rows, cols = cols, rows
+        factors.append(gcd(m[t][t], N))
+    # Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): normalise to a divisibility chain.
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i] = g = gcd(a, b)
+            factors[j] = a // g * b
+    factors = (factors + [N] * rank)[:rank]
+    return AbelianGroup(free_rank=A.rows - rank, torsion=tuple(d for d in factors if d > 1))
 
 
 def determinant(A: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not A.is_square:
         raise ValueError("determinant requires a square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact division: the Bareiss identity guarantees divisibility.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, minor = _bareiss(A.to_lists(), A.rows, A.cols)
+    return minor if rank == A.rows else 0
 
 
 def inertia(A: IntMatrix) -> tuple[int, int, int]:
-    """Counts of (positive, negative, zero) diagonal entries after exact
-    rational congruence diagonalization of a symmetric matrix.
+    """Counts of (positive, negative, zero) diagonal entries of a
+    diagonalization of a symmetric matrix, by symmetric fraction-free
+    elimination on integers.
 
-    When a diagonal pivot vanishes but its row does not, either swap with a
-    nonzero diagonal partner or substitute e_i -> e_i + e_j, which produces
-    the diagonal entry 2*A[i][j] (the standard hyperbolic-pair trick).
+    Each pivot is a leading principal minor of a matrix congruent to A by a
+    unimodular change of basis, and the matching diagonal entry is that
+    pivot divided by the previous one, so it is positive exactly when the
+    two pivots have the same sign.  When a pivot vanishes but its row does
+    not, either swap with a nonzero diagonal partner or substitute
+    e_i -> e_i + e_j, which produces the diagonal entry 2*A[i][j] (the
+    standard hyperbolic-pair trick).  A zero row of the trailing block is a
+    radical direction and counts as zero.
     """
     if not A.is_symmetric:
         raise ValueError("inertia requires a symmetric matrix")
     n = A.rows
-    m = [[Fraction(e) for e in row] for row in A.entries]
-
-    def sym_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    def sym_addmul(i, j, f):
-        # basis change e_i -> e_i + f * e_j, applied to the Gram matrix
-        mi, mj = m[i], m[j]
-        for k in range(n):
-            mi[k] += f * mj[k]
-        for row in m:
-            row[i] += f * row[j]
-
+    m = A.to_lists()
     pos = neg = zero = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if m[k][j]), None)
             if j is None:
                 zero += 1
                 continue
-            if m[j][j] != 0:
-                sym_swap(i, j)
+            if m[j][j]:
+                m[k], m[j] = m[j], m[k]
+                for row in m[k:]:
+                    row[k], row[j] = row[j], row[k]
             else:
-                sym_addmul(i, j, Fraction(1))
-        d = m[i][i]
-        if d > 0:
+                m[k] = [x + y for x, y in zip(m[k], m[j])]
+                for row in m[k:]:
+                    row[k] += row[j]
+        if (m[k][k] > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                sym_addmul(r, i, -m[r][i] / d)
+        prev = _bareiss_step(m, k, range(k + 1, n), prev)
     return pos, neg, zero
 
 
@@ -366,29 +453,24 @@ def signature(A: IntMatrix) -> int:
 
 
 def rational_solve(A: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
-    """Exact solution of A x = b over the rationals for square nonsingular A."""
+    """Exact solution of A x = b over the rationals for square nonsingular A,
+    by fraction-free Gauss-Jordan elimination on [A | b]: every
+    intermediate entry is a minor of [A | b], and the one division that is
+    not exact is the final one by the determinant."""
     if not A.is_square:
         raise ValueError("rational_solve requires a square matrix")
     n = A.rows
     if len(b) != n:
         raise ValueError("right-hand side length does not match matrix size")
-    m = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(A.entries)]
+    m = [list(row) + [b[i]] for i, row in enumerate(A.entries)]
+    prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k] != 0), None)
         if piv is None:
             raise DegenerateLinkingFormError("degenerate linking form: matrix is singular")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / m[k][k]
-                for j in range(k, n + 1):
-                    m[i][j] -= f * m[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = m[k][n] - sum(m[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / m[k][k]
-    return tuple(x)
+        m[k], m[piv] = m[piv], m[k]
+        prev = _bareiss_step(m, k, (i for i in range(n) if i != k), prev)
+    return tuple(Fraction(row[n], prev) for row in m)
 
 
 def congruence_transform(F: IntMatrix, B: IntMatrix) -> IntMatrix:

@@ -1,11 +1,12 @@
 """Independent oracles for cross-checking the exact linear algebra.
 
 Nothing in this module calls the implementations under test: determinants
-come from permutation expansion, invariant factors from gcds of minors,
-inertia from the characteristic polynomial via Descartes' rule (exact for
-symmetric matrices, whose eigenvalues are all real), solution sets from
-exhaustive enumeration, and classes of binary forms from a table of reduced
-forms or from a search over generators of GL2(Z).
+come from permutation expansion or elimination over Q, invariant factors
+from gcds of minors, inertia from the characteristic polynomial via
+Descartes' rule (exact for symmetric matrices, whose eigenvalues are all
+real), solution sets from exhaustive enumeration, and classes of binary
+forms from a table of reduced forms or from a search over generators of
+GL2(Z).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 
@@ -64,6 +66,24 @@ def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def fraction_determinant(rows: list[list[int]]) -> int:
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return int(det)
 
 
 def charpoly(rows: list[list[int]]) -> list[int]:

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from steincheck.cli import run
+
+from oracles import fraction_determinant, random_symmetric_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -42,6 +45,22 @@ class TestD3Command:
         assert obj["chi"] == 1
         assert obj["sigma"] == 0
         assert obj["boundary_homology_sphere"] is True
+
+    def test_json_computes_each_term_once(self, capsys, monkeypatch):
+        import steincheck.handle as handle
+
+        counts = {}
+        for name in ("rational_solve", "signature", "determinant"):
+            def counted(*args, _name=name, _fn=getattr(handle, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(handle, name, counted)
+        code, out, _ = invoke(
+            capsys, "d3", str(FIXTURES / "x_shadow_link.json"), "--output", "json"
+        )
+        assert code == 0 and json.loads(out)["boundary_homology_sphere"] is True
+        assert counts == {"rational_solve": 1, "signature": 1, "determinant": 1}
 
     def test_singular_linking_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "zero.json"
@@ -271,6 +290,20 @@ class TestHomologyCommands:
         assert code == 0
         obj = json.loads(out)
         assert obj == {"free_rank": 0, "homology_sphere": False, "invariant_factors": ["2"]}
+
+    @pytest.mark.parametrize("n", [14, 40])
+    def test_boundary_of_large_links(self, capsys, tmp_path, n):
+        rows = random_symmetric_matrix(random.Random(n), n, -9, 9)
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps({"linking": rows, "rot": [0] * n, "tb": None}))
+        code, out, _ = invoke(capsys, "homology", "boundary", str(path), "--output", "json")
+        assert code == 0
+        obj = json.loads(out)
+        order = 1
+        for d in obj["invariant_factors"]:
+            order *= int(d)
+        det = fraction_determinant(rows)
+        assert det != 0 and obj["free_rank"] == 0 and order == abs(det)
 
     def test_v_family(self, capsys):
         code, out, _ = invoke(capsys, "homology", "v-family", "--p", "6")

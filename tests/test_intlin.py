@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,6 +22,7 @@ from steincheck.intlin import (
 
 from oracles import (
     charpoly_inertia,
+    fraction_determinant,
     minor_gcd_invariant_factors,
     perm_determinant,
     random_int_matrix,
@@ -106,6 +108,102 @@ class TestSmithNormalForm:
                 assert grp.free_rank >= 1
 
 
+def group_from_factors(n_rows, factors):
+    nonzero = [abs(d) for d in factors if d != 0]
+    return AbelianGroup(free_rank=n_rows - len(nonzero), torsion=tuple(d for d in nonzero if d > 1))
+
+
+def sympy_cokernel(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    return group_from_factors(len(rows), [int(d) for d in factors])
+
+
+def product(rows_a, rows_b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*rows_b)] for row in rows_a]
+
+
+class TestCokernel:
+    def test_edge_cases(self):
+        assert cokernel(M([])) == AbelianGroup(0, ())
+        assert cokernel(IntMatrix.zeros(0, 3)) == AbelianGroup(0, ())
+        assert cokernel(IntMatrix.zeros(3, 0)) == AbelianGroup(3, ())
+        assert cokernel(IntMatrix.zeros(2, 3)) == AbelianGroup(2, ())
+        assert cokernel(M([[0], [5]])) == AbelianGroup(1, (5,))
+        assert cokernel(M([[0, 5]])) == AbelianGroup(0, (5,))
+        assert cokernel(M([[-6]])) == AbelianGroup(0, (6,))
+        # unimodular: the modulus D is 1
+        assert cokernel(M([[2, 1], [1, 1]])) == AbelianGroup(0, ())
+        rng = random.Random(31)
+        for n in (1, 5, 12):
+            assert cokernel(M(random_unimodular_matrix(rng, n, 40))).is_trivial
+
+    def test_known_invariant_factors_under_unimodular_change(self):
+        # U diag(d) V has invariant factors d, whatever the shape and rank.
+        rng = random.Random(4242)
+        for _ in range(60):
+            rows = rng.randint(1, 14)
+            cols = rng.randint(1, 14)
+            chain = [1]
+            for _ in range(min(rows, cols) - 1):
+                chain.append(chain[-1] * rng.choice([1, 1, 2, 3, 6]))
+            rank = rng.randint(0, min(rows, cols))
+            diag = [[chain[i] if i == j and i < rank else 0 for j in range(cols)] for i in range(rows)]
+            a = product(
+                product(random_unimodular_matrix(rng, rows, 30), diag),
+                random_unimodular_matrix(rng, cols, 30),
+            )
+            assert cokernel(M(a)) == group_from_factors(rows, chain[:rank])
+
+    def test_rank_one_matrices(self):
+        # u v^T has cokernel Z^(rows-1) + Z/g, g the gcd of its entries.
+        # Modulo D the elimination can find more pivots than the rank.
+        rng = random.Random(1)
+        for _ in range(400):
+            u = [rng.randint(-12, 12) for _ in range(rng.randint(1, 4))]
+            v = [rng.randint(-12, 12) for _ in range(rng.randint(1, 4))]
+            if not any(u) or not any(v):
+                continue
+            a = [[x * y for y in v] for x in u]
+            g = 0
+            for x in u:
+                for y in v:
+                    g = gcd(g, x * y)
+            assert cokernel(M(a)) == AbelianGroup(len(u) - 1, (g,) if g > 1 else ())
+
+    def test_random_symmetric_against_sympy(self):
+        rng = random.Random(1212)
+        for n in range(12, 21):
+            for _ in range(3):
+                a = random_symmetric_matrix(rng, n, -9, 9)
+                assert cokernel(M(a)) == sympy_cokernel(a)
+                # scaling multiplies every invariant factor
+                a3 = [[3 * x for x in row] for row in a]
+                assert cokernel(M(a3)) == sympy_cokernel(a3)
+
+    def test_rank_deficient_against_sympy(self):
+        rng = random.Random(5150)
+        for n in range(12, 21):
+            k = rng.randint(1, n - 1)
+            b = random_int_matrix(rng, n, k, -4, 4)
+            c = random_int_matrix(rng, k, n, -4, 4)
+            a = product(b, c)
+            grp = cokernel(M(a))
+            assert grp == sympy_cokernel(a)
+            assert grp.free_rank >= n - k
+
+    def test_rectangular_against_sympy(self):
+        rng = random.Random(6021)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 16), rng.randint(1, 16)
+            a = random_int_matrix(rng, rows, cols, -9, 9)
+            if rng.random() < 0.5:
+                a = [[2 * x for x in row] for row in a]
+            assert cokernel(M(a)) == sympy_cokernel(a)
+
+
 class TestDeterminant:
     def test_hyperbolic_like_block(self):
         assert determinant(M([[0, 1], [1, -2]])) == -1
@@ -154,6 +252,46 @@ class TestSignature:
             a = random_symmetric_matrix(rng, n, -7, 7)
             assert inertia(M(a)) == charpoly_inertia(a)
 
+    def test_zero_diagonals_and_radical(self):
+        # k hyperbolic planes + a diagonal part + a z-dimensional radical,
+        # hidden by a unimodular change of basis
+        rng = random.Random(8080)
+        for _ in range(40):
+            k, z = rng.randint(0, 3), rng.randint(0, 3)
+            diag = [rng.choice([-3, -1, 1, 2]) for _ in range(rng.randint(0, 4))]
+            n = 2 * k + len(diag) + z
+            if n == 0:
+                continue
+            f = [[0] * n for _ in range(n)]
+            for h in range(k):
+                f[2 * h][2 * h + 1] = f[2 * h + 1][2 * h] = rng.choice([1, 2, -3])
+            for i, d in enumerate(diag):
+                f[2 * k + i][2 * k + i] = d
+            B = random_unimodular_matrix(rng, n, 25)
+            g = product(product([list(col) for col in zip(*B)], f), B)
+            expected = (
+                k + sum(d > 0 for d in diag),
+                k + sum(d < 0 for d in diag),
+                z,
+            )
+            assert inertia(M(f)) == expected
+            assert inertia(M(g)) == expected == charpoly_inertia(g)
+
+    def test_sparse_diagonal_forms_match_charpoly_oracle(self):
+        # mostly zero diagonals, so the swap and the hyperbolic step run;
+        # the fixed form needs the column half of e_i -> e_i + e_j
+        a = [[0, 0, -1, 1, 1], [0, 0, 0, 2, 0], [-1, 0, 0, 3, 0], [1, 2, 3, -5, -1], [1, 0, 0, -1, 0]]
+        assert inertia(M(a)) == charpoly_inertia(a) == (2, 2, 1)
+        rng = random.Random(909)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if i != j or rng.random() < 0.4:
+                        a[i][j] = a[j][i] = rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 7, -5])
+            assert inertia(M(a)) == charpoly_inertia(a)
+
     def test_invariant_under_unimodular_congruence(self):
         rng = random.Random(1618)
         for _ in range(150):
@@ -187,6 +325,17 @@ class TestRationalSolve:
             for i in range(n):
                 assert sum(Fraction(a[i][j]) * x[j] for j in range(n)) == b[i]
             solved += 1
+
+
+    def test_substitution_round_trip_large(self):
+        rng = random.Random(3030)
+        for n in (10, 20, 30):
+            a = random_int_matrix(rng, n, n, -9, 9)
+            b = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            assert fraction_determinant(a) != 0
+            x = rational_solve(M(a), b)
+            for i in range(n):
+                assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
 
 
 class TestCongruenceTransform:
