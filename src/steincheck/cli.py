@@ -21,6 +21,7 @@ from .handle import (
     boundary_first_homology,
     d3,
 )
+from .intlin import _clip
 from .obstruct import (
     adjunction_lower_bound,
     certificate_csv_rows,
@@ -71,10 +72,10 @@ def _emit_csv(rows: Sequence[Sequence[str]]) -> None:
 def _parse_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if not m:
-        raise CliInputError("range must look like A..B (inclusive), got %r" % text)
+        raise CliInputError("range must look like A..B (inclusive), got %s" % _clip(repr(text)))
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
-        raise CliInputError("range %s is empty" % text)
+        raise CliInputError("range %s is empty" % _clip(text))
     return lo, hi
 
 
@@ -214,13 +215,8 @@ def _cmd_lemma_basis_restriction(args) -> int:
         )
     else:
         print(
-            "classes of square %d on %s: %s%s"
-            % (
-                c,
-                member.manifold.name,
-                ", ".join("(%d, %d)" % v for v in sols.vectors),
-                "" if sols.complete else " (within enumeration box only)",
-            )
+            "classes of square %d on %s: %s"
+            % (c, member.manifold.name, ", ".join("(%d, %d)" % v for v in sols.vectors))
         )
         print(
             "equals +-distinguished class (%s): %s"

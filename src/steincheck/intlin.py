@@ -488,6 +488,11 @@ def congruence_transform(F: IntMatrix, B: IntMatrix) -> IntMatrix:
 # JSON serialization.  Matrix and vector entries travel as decimal strings so
 # arbitrary-precision values survive any JSON parser bit-exactly.
 
+def _clip(text: str) -> str:
+    """text echoed in an error message, cut to 40 characters and its length."""
+    return text if len(text) <= 40 else "%s... (%d characters)" % (text[:40], len(text))
+
+
 def _parse_int(value) -> int:
     if isinstance(value, bool):
         raise ValueError("expected an integer, got a boolean")
@@ -497,8 +502,8 @@ def _parse_int(value) -> int:
         try:
             return int(value, 10)
         except ValueError:
-            raise ValueError("not a decimal integer string: %r" % (value,)) from None
-    raise ValueError("expected an integer or decimal string, got %r" % (value,))
+            raise ValueError("not a decimal integer string: %s" % _clip(repr(value))) from None
+    raise ValueError("expected an integer or decimal string, got %s" % _clip(repr(value)))
 
 
 def matrix_to_json(A: IntMatrix) -> list[list[str]]:

@@ -50,7 +50,8 @@ class InfinitudeCertificate:
     The conclusion is true only when the family has at least two members,
     all members are pairwise homeomorphic, every member passes the
     class-rigidity check, and the genus lower bounds strictly increase
-    along the parameters.
+    along the parameters.  ``members`` holds the checked members, which the
+    JSON form leaves out.
     """
 
     family_label: str
@@ -61,6 +62,7 @@ class InfinitudeCertificate:
     all_homeomorphic: bool
     class_rigidity_note: str
     conclusion: bool
+    members: tuple[LogTransformFamilyMember, ...]
 
     def to_json_obj(self) -> dict:
         return {
@@ -219,6 +221,7 @@ def infinitude_report(parity: str, q_range: Sequence[int]) -> InfinitudeCertific
         all_homeomorphic=all_homeo,
         class_rigidity_note=CLASS_RIGIDITY_NOTE,
         conclusion=conclusion,
+        members=tuple(members),
     )
 
 
@@ -257,7 +260,7 @@ def certificate_text(cert: InfinitudeCertificate) -> str:
 def certificate_csv_rows(cert: InfinitudeCertificate) -> list[list[str]]:
     """Rows (p, parity, form-class, bound, rigidity) for spreadsheet export."""
     rows = [["p", "parity", "form_class", "bound", "rigidity"]]
-    for p, bound, rigid in zip(cert.parameters, cert.bounds, cert.rigidity):
-        fc = classify(x_family(p).manifold.form)
-        rows.append([str(p), cert.parity, fc.describe(), str(bound), str(rigid).lower()])
+    for m, bound, rigid in zip(cert.members, cert.bounds, cert.rigidity):
+        fc = classify(m.manifold.form)
+        rows.append([str(m.p), cert.parity, fc.describe(), str(bound), str(rigid).lower()])
     return rows

@@ -21,6 +21,9 @@ ODD = "odd"
 # Steps per cycle walk before a rank-2 comparison is left undecided.
 _RHO_STEP_CAP = 1 << 20
 
+# |x|, |y| bound of the v.v = c enumeration when the solution set is not finite.
+_BOX = 100
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -215,8 +218,9 @@ def _rho(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
 class SquareSolutions:
     """Solutions of v.v = c on a rank-2 form.
 
-    ``complete`` marks whether ``vectors`` is the full solution set or only
-    its restriction to the enumeration box.
+    ``complete`` marks whether ``vectors`` is the full solution set (the set
+    is finite) or only its part in the box |x|, |y| <= 100 (the set is empty
+    or infinite and solve_square does not decide which).
     """
 
     vectors: tuple[tuple[int, int], ...]
@@ -232,38 +236,44 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def solve_square(F: QuadraticForm, c: int, bound: int = 100) -> SquareSolutions:
-    """All integer solutions of v.v = c on a rank-2 form.
+def solve_square(F: QuadraticForm, c: int) -> SquareSolutions:
+    """All integer solutions (x, y) of v.v = c on a rank-2 form [[a, b], [b, d]].
 
-    When a basis vector is isotropic (Gram [[0, e], [e, d]] or its mirror
-    with e != 0) and c != 0, the equation factors as b(2ea + db) = c, so the
-    complete solution set comes from the divisors of c.  In every other case
-    (including c = 0, where the isotropic axis gives infinitely many
-    solutions) only the box |a|, |b| <= bound is enumerated and the result
-    is flagged as incomplete.
+    D = b^2 - ad picks one exact method, since a Q = (ax + by)^2 - D y^2.  If
+    D = r^2 > 0 and c != 0, kQ = (px + qy)(sx + ty): k = 1 and the factors y,
+    2bx + dy after moving an isotropic basis vector first, else k = a and the
+    factors ax + (b -+ r)y; each signed divisor u of kc gives one linear
+    system.  If D < 0, then y^2 <= ac / -D and x is a root of a quadratic.
+    Both sets are finite and returned complete.  Otherwise the set is empty or
+    infinite, and only the box |x|, |y| <= 100 is enumerated, flagged as
+    incomplete.
     """
     if F.rank != 2:
         raise ValueError("solve_square requires a rank-2 form")
-    g = F.gram.entries
-    e = g[0][1]
-
-    if c != 0 and e != 0 and 0 in (g[0][0], g[1][1]):
-        # isotropic basis vector first: 2e*a*b + d*b^2 = c, a = (c/b - d*b) / (2e)
-        swap = g[0][0] != 0
-        d = g[0][0] if swap else g[1][1]
-        sols = []
-        for b in _divisors(c):
-            for b_signed in (b, -b):
-                num = c // b_signed - d * b_signed
-                if num % (2 * e) == 0:
-                    v = (num // (2 * e), b_signed)
-                    sols.append(v[::-1] if swap else v)
-        return SquareSolutions(tuple(sorted(set(sols))), complete=True)
-
-    sols = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            v = (a, b)
-            if pairing(F, v, v) == c:
-                sols.append(v)
-    return SquareSolutions(tuple(sorted(sols)), complete=False)
+    (a, b), (_, d) = F.gram.entries
+    D = b * b - a * d
+    r = isqrt(max(D, 0))
+    sols = set()
+    if D > 0 and r * r == D and c != 0:
+        swap = d == 0
+        a, d = (d, a) if swap else (a, d)
+        k, p, q, s, t = (1, 0, 1, 2 * b, d) if a == 0 else (a, a, b - r, a, b + r)
+        det = p * t - q * s
+        for u in _divisors(k * c):
+            for u in (u, -u):
+                w = k * c // u
+                x, y = u * t - q * w, p * w - s * u
+                if x % det == 0 and y % det == 0:
+                    sols.add((y // det, x // det) if swap else (x // det, y // det))
+    elif D < 0:
+        ymax = isqrt(a * c // -D) if a * c >= 0 else -1
+        for y in range(-ymax, ymax + 1):
+            disc = a * c + D * y * y
+            root = isqrt(disc)
+            if root * root == disc:
+                sols.update((n // a, y) for n in (root - b * y, -root - b * y) if n % a == 0)
+    else:
+        box = range(-_BOX, _BOX + 1)
+        sols = [(x, y) for x in box for y in box if a * x * x + 2 * b * x * y + d * y * y == c]
+        return SquareSolutions(tuple(sols), complete=False)
+    return SquareSolutions(tuple(sorted(sols)), complete=True)

@@ -19,11 +19,11 @@ from steincheck.quadform import solve_square
 from steincheck.surgery import compose, fp_matrix, stabilizes_summand, v_family_homology, x_family
 
 from oracles import (
-    box_square_solutions,
     perm_determinant,
     random_int_matrix,
     random_symmetric_matrix,
     random_unimodular_matrix,
+    sweep_square_solutions,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "certificate_odd_q1_10.json"
@@ -66,8 +66,8 @@ def test_criterion_03_distinguished_class_solutions():
         k = member.s_class[0]
         sols = solve_square(member.manifold.form, c)
         ok = ok and sols.complete and sols.as_set() == {(k, 1), (-k, -1)}
-        # independent cross-check by exhaustive box enumeration
-        box = box_square_solutions(d, c, 200)
+        # independent cross-check by a sweep over the box
+        box = sweep_square_solutions([[0, 1], [1, d]], c, 200)
         exact_in_box = {v for v in sols.as_set() if max(abs(v[0]), abs(v[1])) <= 200}
         ok = ok and box == exact_in_box
     report(3, "v.v = -2/-1 solved only by +-S_p", ok)

@@ -106,6 +106,12 @@ class TestInputErrors:
         code, _, _ = invoke(capsys, "certificate", "--parity", "odd", "--q-range", "5..1")
         assert code == 2
 
+    def test_range_errors_cut_long_values(self, capsys):
+        for q_range, length in (("1-" + "9" * 5000, 5004), ("9" * 3000 + "..1", 3003)):
+            code, _, err = invoke(capsys, "certificate", "--parity", "odd", "--q-range", q_range)
+            assert code == 2 and "... (%d characters)" % length in err
+            assert len(err) < 160
+
 
 class TestFormCommands:
     def test_classify(self, capsys, tmp_path):
@@ -257,6 +263,18 @@ class TestCertificateCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "p,parity,form_class,bound,rigidity"
         assert len(lines) == 4
+
+    def test_csv_builds_each_member_once(self, capsys, monkeypatch):
+        import steincheck.obstruct as obstruct
+
+        built = []
+        x_family = obstruct.x_family
+        monkeypatch.setattr(obstruct, "x_family", lambda p: built.append(p) or x_family(p))
+        code, out, _ = invoke(
+            capsys, "certificate", "--parity", "odd", "--q-range", "1..10", "--output", "csv"
+        )
+        assert code == 0 and len(out.splitlines()) == 11
+        assert built == list(range(1, 20, 2))
 
 
 GOLDEN_COMMANDS = {

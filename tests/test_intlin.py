@@ -416,6 +416,15 @@ class TestJson:
         with pytest.raises(ValueError):
             matrix_from_json([[True]])
 
+    def test_errors_cut_long_values(self):
+        with pytest.raises(ValueError, match=r"^not a decimal integer string: '12x'$"):
+            matrix_from_json([["12x"]])
+        for bad, length in (("1" * 4999 + "x", 5002), (list(range(2000)), 10890)):
+            with pytest.raises(ValueError) as err:
+                vector_from_json([bad])
+            assert str(err.value).endswith("... (%d characters)" % length)
+            assert len(str(err.value)) < 120
+
 
 def test_abelian_group_rendering():
     assert str(AbelianGroup(0, ())) == "0"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import isqrt
 
@@ -15,11 +16,10 @@ from steincheck.quadform import (
 )
 
 from oracles import (
-    box_square_solutions,
-    brute_square_solutions,
     orbit_classes,
     random_unimodular_matrix,
     reduced_definite_forms,
+    sweep_square_solutions,
 )
 
 
@@ -226,9 +226,10 @@ class TestSolveSquare:
         assert sols.as_set() == set()
 
     def test_isotropic_c_zero_is_bounded_only(self):
-        sols = solve_square(Q([[0, 1], [1, 0]]), 0, bound=5)
+        sols = solve_square(Q([[0, 1], [1, 0]]), 0)
         assert not sols.complete
         assert (3, 0) in sols.as_set() and (0, -4) in sols.as_set()
+        assert (100, 0) in sols.as_set() and (101, 0) not in sols.as_set()
 
     def test_mirrored_isotropic_basis_vector(self):
         # same equation with the roles of the two basis vectors swapped
@@ -253,27 +254,68 @@ class TestSolveSquare:
             assert sols.as_set() == {(0, 1), (0, -1)}, "p = %d" % p
 
     def test_exact_mode_agrees_with_brute_force(self):
+        # every solution has |y| <= |c| and |x| <= (1 + 9)|c| / 2 <= 50
         for d in (-4, -9, -2, -1, 0, 3):
-            gram = [[0, 1], [1, d]]
             for c in range(-10, 11):
                 if c == 0:
                     continue
-                sols = solve_square(Q(gram), c)
+                sols = solve_square(Q([[0, 1], [1, d]]), c)
                 assert sols.complete
-                in_box = {v for v in sols.as_set() if max(abs(v[0]), abs(v[1])) <= 100}
-                assert in_box == brute_square_solutions(gram, c, 100), (d, c)
+                assert sols.as_set() == sweep_square_solutions([[0, 1], [1, d]], c, 50), (d, c)
                 # the mirrored Gram matrix has the coordinates swapped
                 mirrored = solve_square(Q([[d, 1], [1, 0]]), c)
                 assert mirrored.complete
-                in_box = {v for v in mirrored.as_set() if max(abs(v[0]), abs(v[1])) <= 100}
-                assert in_box == {(b, a) for a, b in box_square_solutions(d, c, 100)}, (d, c)
+                assert mirrored.as_set() == {(y, x) for x, y in sols.as_set()}, (d, c)
 
-    def test_bounded_mode_matches_brute_force(self):
+    def test_definite_form_is_complete(self):
         gram = [[2, 1], [1, 2]]
-        for c in (-2, 0, 2, 6):
-            sols = solve_square(Q(gram), c, bound=20)
-            assert not sols.complete
-            assert sols.as_set() == brute_square_solutions(gram, c, 20)
+        for c in (-2, 0, 2, 6, 14):
+            sols = solve_square(Q(gram), c)
+            assert sols.complete
+            assert sols.as_set() == sweep_square_solutions(gram, c, 20)
+        # x^2 + xy + y^2 = 7 has twelve solutions, reaching |y| = 3
+        assert len(solve_square(Q(gram), 14).vectors) == 12
+
+    def test_completeness_and_solutions_on_all_small_forms(self):
+        """Complete exactly when D = b^2 - ad < 0, or D is a nonzero square and
+        c != 0, and equal to the sweep oracle; every form with entries in
+        [-4, 4] and c in [-15, 15], the infinite or empty sets sampled."""
+        rng = random.Random(5)
+        infinite = {"D = 0": [], "D > 0 not a square": [], "c = 0, D a nonzero square": []}
+        for a, b, d in itertools.product(range(-4, 5), repeat=3):
+            D = b * b - a * d
+            for c in range(-15, 16):
+                finite = D < 0 or (D > 0 and isqrt(D) ** 2 == D and c != 0)
+                if not finite:
+                    kind = "D = 0" if D == 0 else "c = 0, D a nonzero square" if c == 0 else "D > 0 not a square"
+                    infinite[kind].append(([[a, b], [b, d]], c))
+                    continue
+                sols = solve_square(Q([[a, b], [b, d]]), c)
+                # Bounds on every solution: for D < 0 the smaller eigenvalue is
+                # at least -D / |a + d|, so x^2 + y^2 <= |c (a + d) / D|.  For
+                # D = r^2 the factors u = ax + (b - r)y, w = ax + (b + r)y of ac
+                # give |y| = |u - w| / 2r <= (|ac| + 1) / 2, and |x| likewise;
+                # when a = 0, y divides c and |x| <= (1 + |d|)|c| / 2.
+                bound = isqrt(abs(c * (a + d)) // -D) if D < 0 else (5 * abs(c) + 1) // 2
+                assert sols.complete, (a, b, d, c)
+                assert sols.as_set() == sweep_square_solutions([[a, b], [b, d]], c, bound), (a, b, d, c)
+        for gram, c in (case for cases in infinite.values() for case in rng.sample(cases, 4)):
+            sols = solve_square(Q(gram), c)
+            assert not sols.complete, (gram, c)
+            assert sols.as_set() == sweep_square_solutions(gram, c, 100), (gram, c)
+
+    def test_isotropic_forms_factor_c_not_ac(self, monkeypatch):
+        # moving the isotropic basis vector first keeps the divisor search at
+        # |c|, also when the Gram matrix is mirrored; other square-D forms
+        # search the divisors of ac
+        seen = []
+        divisors = quadform._divisors
+        monkeypatch.setattr(quadform, "_divisors", lambda n: seen.append(n) or divisors(n))
+        for gram in ([[0, 1], [1, -7]], [[-7, 1], [1, 0]], [[0, 2], [2, 0]]):
+            solve_square(Q(gram), -30)
+        assert [abs(n) for n in seen] == [30, 30, 30]
+        assert solve_square(Q([[2, 3], [3, 4]]), 5).complete
+        assert abs(seen[-1]) == 10
 
     def test_rank_checked(self):
         with pytest.raises(ValueError):
