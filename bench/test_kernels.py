@@ -6,13 +6,18 @@ Each case times one ``intlin`` kernel on a seeded random symmetric matrix
 with entries in [-9, 9], at n = 10, 20, 40 and 80.  ``extra_info`` holds the
 largest bit-length of any integer the kernel computed, measured in one
 separate, untimed call whose matrix entries record every arithmetic result,
-next to the bit-length of the determinant for scale.  ``bench/`` sits outside
-the tier-1 ``testpaths``, so the plain test run does not collect it.
+next to the bit-length of the determinant for scale.
+``test_solve_over_determinant`` records ``rational_solve``'s median time at
+n = 80 as a ratio of ``determinant``'s: one forward elimination each, so the
+ratio is near 1.  ``bench/`` sits outside the tier-1 ``testpaths``, so the
+plain test run does not collect it.
 """
 
 from __future__ import annotations
 
 import random
+from statistics import median
+from time import perf_counter
 
 import pytest
 
@@ -86,3 +91,16 @@ def test_kernel(benchmark, name, n):
     benchmark.extra_info["max_bits"] = largest_bits(kernel, rows)
     benchmark.extra_info["det_bits"] = abs(determinant(A)).bit_length()
     benchmark(kernel, A)
+
+
+def test_solve_over_determinant(benchmark):
+    A = IntMatrix.from_rows(symmetric_rows(80))
+    det_times = []
+    for _ in range(7):
+        start = perf_counter()
+        determinant(A)
+        det_times.append(perf_counter() - start)
+    benchmark.group = "solve-over-determinant"
+    benchmark(solve, A)
+    benchmark.extra_info.update(n=80, determinant_s=median(det_times))
+    benchmark.extra_info["ratio"] = benchmark.stats.stats.median / median(det_times)

@@ -10,6 +10,9 @@ ac).  Definite and split cases take c = v.v of a random v, so the set is not
 empty.  ``extra_info["steps"]`` is the number of loop iterations, measured in
 one separate, untimed call as the summed length of the ranges that
 ``solve_square`` iterates over; it grows like sqrt(|c|) in every kind.
+``test_solve_square_long_axis`` solves diag(10^6, 1) and its mirror at
+c = 10^12, where a sweep along the axis of the larger diagonal entry would
+take 10^3 times the steps.
 """
 
 from __future__ import annotations
@@ -72,3 +75,13 @@ def test_solve_square(benchmark, monkeypatch, kind, k):
     benchmark.extra_info.update(gram=gram, c=c, steps=steps(F, c, monkeypatch))
     result = benchmark(solve_square, F, c)
     assert result.complete
+
+
+@pytest.mark.parametrize("gram", ([[10**6, 0], [0, 1]], [[1, 0], [0, 10**6]]),
+                         ids=("large-first-diagonal", "large-second-diagonal"))
+def test_solve_square_long_axis(benchmark, monkeypatch, gram):
+    F = QuadraticForm.from_rows(gram)
+    benchmark.group = "solve_square-long-axis"
+    benchmark.extra_info.update(gram=gram, c=10**12, steps=steps(F, 10**12, monkeypatch))
+    result = benchmark(solve_square, F, 10**12)
+    assert result.complete and len(result.vectors) == 28

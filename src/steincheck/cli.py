@@ -13,6 +13,7 @@ import csv
 import json
 import re
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .handle import (
@@ -77,6 +78,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise CliInputError("range %s is empty" % _clip(text))
     return lo, hi
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %s" % _clip(repr(text))) from None
 
 
 def _load_link(path: str) -> FramedLinkPresentation:
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     family_sub = family.add_subparsers(dest="subcommand", required=True)
     fx = family_sub.add_parser("x", help="log-transform family members and normalized forms")
     group = fx.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=int, help="single parameter (0 = untransformed member)")
+    group.add_argument("--p", type=_int_arg, help="single parameter (0 = untransformed member)")
     group.add_argument("--p-range", dest="p_range", help="inclusive range A..B")
     _add_output(fx)
     fx.set_defaults(func=_cmd_family_x)
@@ -387,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     lemma = sub.add_parser("lemma", help="family-wide verification tables")
     lemma_sub = lemma.add_subparsers(dest="subcommand", required=True)
     lh = lemma_sub.add_parser("homeo", help="pairwise homeomorphism table against the parity rule")
-    lh.add_argument("--max-p", dest="max_p", type=int, required=True)
+    lh.add_argument("--max-p", dest="max_p", type=_int_arg, required=True)
     _add_output(lh, ("text", "json", "csv"))
     lh.set_defaults(func=_cmd_lemma_homeo)
     lb = lemma_sub.add_parser(
         "basis-restriction",
         help="solution set of v.v = -2 / -1 versus the distinguished class",
     )
-    lb.add_argument("--p", type=int, required=True)
+    lb.add_argument("--p", type=_int_arg, required=True)
     _add_output(lb)
     lb.set_defaults(func=_cmd_lemma_basis_restriction)
 
@@ -422,15 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(hb)
     hb.set_defaults(func=_cmd_homology_boundary)
     hv = hom_sub.add_parser("v-family", help="H1 of the p-th reglued one-handle member")
-    hv.add_argument("--p", type=int, required=True)
+    hv.add_argument("--p", type=_int_arg, required=True)
     _add_output(hv)
     hv.set_defaults(func=_cmd_homology_v_family)
 
     mc = sub.add_parser("mapping-class", help="torus mapping class matrices")
     mc_sub = mc.add_subparsers(dest="subcommand", required=True)
     fp = mc_sub.add_parser("fp", help="the parametric mapping class and the summand check")
-    fp.add_argument("--p", type=int, required=True)
-    fp.add_argument("--compose", dest="compose_q", type=int, default=None,
+    fp.add_argument("--p", type=_int_arg, required=True)
+    fp.add_argument("--compose", dest="compose_q", type=_int_arg, default=None,
                     help="right-compose with the mapping class of this parameter")
     fp.add_argument("--check-stabilizes", dest="check_stabilizes", action="store_true",
                     help="exit 1 unless the Z+Z+0 summand is stabilized")
@@ -440,18 +448,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args only reads the parser, so one instance per process serves every call
+_parser = cache(build_parser)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliInputError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -17,11 +17,11 @@ from typing import Optional, Sequence
 from .intlin import (
     AbelianGroup,
     IntMatrix,
+    _solve_det,
     cokernel,
     determinant,
     matrix_from_json,
     matrix_to_json,
-    rational_solve,
     signature,
     vector_from_json,
     vector_to_json,
@@ -178,8 +178,8 @@ def chern_eval(M: AlgebraicFourManifold, v: Sequence[int]) -> int:
 def c1_square(L: FramedLinkPresentation) -> Fraction:
     """c1^2 of the 2-handlebody: rot . x for the exact solution of
     linking x = rot.  Requires a nonsingular linking matrix."""
-    x = rational_solve(L.linking, L.rot)
-    return sum((xi * ri for xi, ri in zip(x, L.rot)), Fraction(0))
+    numerators, det = _solve_det(L.linking, L.rot)
+    return Fraction(sum(x * r for x, r in zip(numerators, L.rot)), det)
 
 
 def d3(L: FramedLinkPresentation) -> Fraction:
@@ -196,8 +196,8 @@ def d3(L: FramedLinkPresentation) -> Fraction:
 def _d3_terms(L: FramedLinkPresentation) -> tuple[Fraction, Fraction, int, int]:
     """d3 together with the terms it is built from, each computed once:
     (d3, c1^2, sigma, det of the linking matrix)."""
-    csq = c1_square(L)
-    det = determinant(L.linking)
+    numerators, det = _solve_det(L.linking, L.rot)  # c1^2 and det from one elimination
+    csq = Fraction(sum(x * r for x, r in zip(numerators, L.rot)), det)
     if abs(det) != 1:
         warnings.warn(
             "d3 computed for a boundary that is not a homology sphere; "

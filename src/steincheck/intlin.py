@@ -452,25 +452,32 @@ def signature(A: IntMatrix) -> int:
     return pos - neg
 
 
-def rational_solve(A: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
-    """Exact solution of A x = b over the rationals for square nonsingular A,
-    by fraction-free Gauss-Jordan elimination on [A | b]: every
-    intermediate entry is a minor of [A | b], and the one division that is
-    not exact is the final one by the determinant."""
+def _solve_det(A: IntMatrix, b: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Cramer numerators and det(A): x = numerators / det(A) solves A x = b.
+    Forward Bareiss on [A | b] ends at p = +-det(A); the integers X = p x follow
+    by back-substitution X_i = (p m[i][n] - sum_{j>i} m[i][j] X_j) / m[i][i]."""
     if not A.is_square:
         raise ValueError("rational_solve requires a square matrix")
     n = A.rows
     if len(b) != n:
         raise ValueError("right-hand side length does not match matrix size")
     m = [list(row) + [b[i]] for i, row in enumerate(A.entries)]
-    prev = 1
+    sign = p = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
+        swaps = _move_pivot(m, k, n, k + 1)  # search column k only
+        if swaps is None:
             raise DegenerateLinkingFormError("degenerate linking form: matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        prev = _bareiss_step(m, k, (i for i in range(n) if i != k), prev)
-    return tuple(Fraction(row[n], prev) for row in m)
+        sign *= (-1) ** swaps
+        p = _bareiss_step(m, k, range(k + 1, n), p)
+    for i in reversed(range(n)):  # column n turns into the X_i, last first
+        m[i][n] = (p * m[i][n] - sum(m[i][j] * m[j][n] for j in range(i + 1, n))) // m[i][i]
+    return tuple(sign * row[n] for row in m), sign * p
+
+
+def rational_solve(A: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
+    """Exact solution of A x = b over Q for square nonsingular A (``_solve_det``)."""
+    numerators, det = _solve_det(A, b)
+    return tuple(Fraction(x, det) for x in numerators)
 
 
 def congruence_transform(F: IntMatrix, B: IntMatrix) -> IntMatrix:

@@ -243,20 +243,24 @@ def solve_square(F: QuadraticForm, c: int) -> SquareSolutions:
     D = r^2 > 0 and c != 0, kQ = (px + qy)(sx + ty): k = 1 and the factors y,
     2bx + dy after moving an isotropic basis vector first, else k = a and the
     factors ax + (b -+ r)y; each signed divisor u of kc gives one linear
-    system.  If D < 0, then y^2 <= ac / -D and x is a root of a quadratic.
-    Both sets are finite and returned complete.  Otherwise the set is empty or
-    infinite, and only the box |x|, |y| <= 100 is enumerated, flagged as
-    incomplete.
+    system.  If D < 0, y runs along the axis with the smaller |diagonal| entry,
+    y^2 <= min(|a|, |d|) |c| / -D, and x is a root of a quadratic.  Both sets
+    are finite and returned complete.  Otherwise the set is empty or infinite,
+    and only the box |x|, |y| <= 100 is enumerated, flagged as incomplete.
     """
     if F.rank != 2:
         raise ValueError("solve_square requires a rank-2 form")
     (a, b), (_, d) = F.gram.entries
     D = b * b - a * d
     r = isqrt(max(D, 0))
+    if not (D < 0 or D > 0 and r * r == D and c != 0):
+        box = range(-_BOX, _BOX + 1)
+        sols = [(x, y) for x in box for y in box if a * x * x + 2 * b * x * y + d * y * y == c]
+        return SquareSolutions(tuple(sols), complete=False)
+    swap = abs(a) > abs(d) if D < 0 else d == 0
+    a, d = (d, a) if swap else (a, d)
     sols = set()
-    if D > 0 and r * r == D and c != 0:
-        swap = d == 0
-        a, d = (d, a) if swap else (a, d)
+    if D > 0:
         k, p, q, s, t = (1, 0, 1, 2 * b, d) if a == 0 else (a, a, b - r, a, b + r)
         det = p * t - q * s
         for u in _divisors(k * c):
@@ -264,16 +268,12 @@ def solve_square(F: QuadraticForm, c: int) -> SquareSolutions:
                 w = k * c // u
                 x, y = u * t - q * w, p * w - s * u
                 if x % det == 0 and y % det == 0:
-                    sols.add((y // det, x // det) if swap else (x // det, y // det))
-    elif D < 0:
+                    sols.add((x // det, y // det))
+    else:
         ymax = isqrt(a * c // -D) if a * c >= 0 else -1
         for y in range(-ymax, ymax + 1):
             disc = a * c + D * y * y
             root = isqrt(disc)
             if root * root == disc:
                 sols.update((n // a, y) for n in (root - b * y, -root - b * y) if n % a == 0)
-    else:
-        box = range(-_BOX, _BOX + 1)
-        sols = [(x, y) for x in box for y in box if a * x * x + 2 * b * x * y + d * y * y == c]
-        return SquareSolutions(tuple(sols), complete=False)
-    return SquareSolutions(tuple(sorted(sols)), complete=True)
+    return SquareSolutions(tuple(sorted(v[::-1] if swap else v for v in sols)), complete=True)

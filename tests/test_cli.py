@@ -47,20 +47,25 @@ class TestD3Command:
         assert obj["boundary_homology_sphere"] is True
 
     def test_json_computes_each_term_once(self, capsys, monkeypatch):
+        # c1^2 and det come from one _solve_det elimination, sigma from one
+        # signature; neither determinant nor rational_solve runs again
         import steincheck.handle as handle
+        import steincheck.intlin as intlin
 
-        counts = {}
-        for name in ("rational_solve", "signature", "determinant"):
-            def counted(*args, _name=name, _fn=getattr(handle, name)):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _fn(*args)
+        counts = dict.fromkeys(("_solve_det", "signature", "determinant", "rational_solve"), 0)
+        for module in (handle, intlin):
+            for name in counts:
+                if hasattr(module, name):
+                    def counted(*args, _name=name, _fn=getattr(module, name)):
+                        counts[_name] += 1
+                        return _fn(*args)
 
-            monkeypatch.setattr(handle, name, counted)
+                    monkeypatch.setattr(module, name, counted)
         code, out, _ = invoke(
             capsys, "d3", str(FIXTURES / "x_shadow_link.json"), "--output", "json"
         )
         assert code == 0 and json.loads(out)["boundary_homology_sphere"] is True
-        assert counts == {"rational_solve": 1, "signature": 1, "determinant": 1}
+        assert counts == {"_solve_det": 1, "signature": 1, "determinant": 0, "rational_solve": 0}
 
     def test_singular_linking_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "zero.json"
@@ -111,6 +116,27 @@ class TestInputErrors:
             code, _, err = invoke(capsys, "certificate", "--parity", "odd", "--q-range", q_range)
             assert code == 2 and "... (%d characters)" % length in err
             assert len(err) < 160
+
+    def test_int_options_cut_long_values(self, capsys):
+        digits = "9" * 4302  # past CPython's 4,300-digit int/str conversion limit
+        for argv in (
+            ["family", "x", "--p", digits],
+            ["lemma", "homeo", "--max-p", digits],
+            ["lemma", "basis-restriction", "--p", digits],
+            ["homology", "v-family", "--p", digits],
+            ["mapping-class", "fp", "--p", "1", "--compose", digits],
+        ):
+            code, _, err = invoke(capsys, *argv)
+            message = err.splitlines()[-1].split(" error: ", 1)[1]
+            assert code == 2 and message.endswith("... (4304 characters)")
+            assert len(message) <= 100
+
+    def test_int_option_errors_read_as_argparse_wrote_them(self, capsys):
+        code, _, err = invoke(capsys, "family", "x", "--p", "x7")
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "steincheck family x: error: argument --p: invalid int value: 'x7'"
+        )
 
 
 class TestFormCommands:
@@ -380,3 +406,48 @@ def test_repeated_module_runs_are_byte_identical():
     second = subprocess.run(args, capture_output=True).stdout
     assert first == second
     assert first == (GOLDEN / "certificate_odd_q1_10.json").read_bytes()
+
+
+# Pairs of calls made one after the other through the parser that ``run``
+# reuses within a process: a value, flag or usage error from the first call
+# must not show in the second.
+SEQUENTIAL_CALLS = {
+    "compose-then-plain": (
+        ["mapping-class", "fp", "--p", "1", "--compose", "2", "--output", "json"],
+        ["mapping-class", "fp", "--p", "1", "--output", "json"],
+    ),
+    "flag-then-no-flag": (
+        ["mapping-class", "fp", "--p", "2", "--check-stabilizes"],
+        ["mapping-class", "fp", "--p", "2"],
+    ),
+    "usage-error-then-valid": (
+        ["family", "x", "--p", "1", "--p-range", "1..2"],
+        ["family", "x", "--p", "1"],
+    ),
+    "p-then-p-range": (
+        ["family", "x", "--p", "3"],
+        ["family", "x", "--p-range", "0..2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SEQUENTIAL_CALLS))
+def test_reused_parser_matches_fresh_processes(capsys, name):
+    calls = SEQUENTIAL_CALLS[name]
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-m", "steincheck", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in calls
+    ]
+    in_process = [invoke(capsys, *argv) for argv in calls]
+    for proc, result in zip(fresh, in_process):
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == result
+    if name == "compose-then-plain":
+        assert json.loads(in_process[1][1])["composed_with"] is None
+    if name == "flag-then-no-flag":
+        assert "stabilizes" in in_process[0][1] and "stabilizes" not in in_process[1][1]
+    if name == "usage-error-then-valid":
+        assert [code for code, _, _ in in_process] == [2, 0]

@@ -6,6 +6,7 @@ import pytest
 
 from steincheck.intlin import (
     AbelianGroup,
+    _solve_det,
     DegenerateLinkingFormError,
     IntMatrix,
     cokernel,
@@ -336,6 +337,36 @@ class TestRationalSolve:
             x = rational_solve(M(a), b)
             for i in range(n):
                 assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
+
+    def test_row_swaps_set_the_sign(self):
+        # x = (3, 2) and det = -1, so the Cramer numerators are (-3, -2)
+        assert _solve_det(M([[0, 1], [1, 0]]), [2, 3]) == ((-3, -2), -1)
+        assert _solve_det(M([]), []) == ((), 1)
+
+    @pytest.mark.parametrize("n", (10, 20, 40))
+    def test_solve_det_against_sympy(self, n):
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(7000 + n)
+        for density in (1.0, 0.3):
+            det = 0
+            while det == 0:
+                # the sparse matrices have a zero diagonal, so elimination swaps rows
+                a = [[e if rng.random() < density and (density == 1 or i != j) else 0
+                      for j, e in enumerate(row)]
+                     for i, row in enumerate(random_int_matrix(rng, n, n, -9, 9))]
+                A = DomainMatrix([[ZZ(e) for e in row] for row in a], (n, n), ZZ)
+                det = int(A.det())
+            b = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            # sympy: A xnum = xden b, so the Cramer numerators are det * xnum / xden
+            xnum, xden = A.solve_den(DomainMatrix([[ZZ(e)] for e in b], (n, 1), ZZ))
+            numerators, got_det = _solve_det(M(a), b)
+            assert got_det == det == determinant(M(a))
+            assert [x * int(xden) for x in numerators] == [
+                int(row[0]) * det for row in xnum.to_list()
+            ]
 
 
 class TestCongruenceTransform:

@@ -276,6 +276,37 @@ class TestSolveSquare:
         # x^2 + xy + y^2 = 7 has twelve solutions, reaching |y| = 3
         assert len(solve_square(Q(gram), 14).vectors) == 12
 
+    def test_definite_mirror_sweeps_the_shorter_axis(self, monkeypatch):
+        rng = random.Random(606)
+        cases = [([[10**4, 0], [0, 1]], 10**8), ([[10**4, 3], [3, 1]], 10**4 * 5**2 + 9)]
+        while len(cases) < 40:
+            a, b, d = rng.randint(-300, 300), rng.randint(-9, 9), rng.randint(-9, 9)
+            if b * b - a * d < 0 and abs(a) > abs(d):
+                x, y = rng.randint(-20, 20), rng.randint(-20, 20)
+                cases.append(([[a, b], [b, d]], a * x * x + 2 * b * x * y + d * y * y))
+        for gram, c in cases:
+            (a, b), (_, d) = gram
+            # x^2 + y^2 <= |c (a + d) / D|, as in the test below
+            bound = isqrt(abs(c * (a + d)) // (a * d - b * b))
+            sols = solve_square(Q(gram), c)
+            mirrored = solve_square(Q([[d, b], [b, a]]), c)
+            assert sols.complete and mirrored.complete
+            assert sols.as_set() == sweep_square_solutions(gram, c, bound), (gram, c)
+            assert mirrored.as_set() == {(y, x) for x, y in sols.as_set()}, (gram, c)
+            assert list(mirrored.vectors) == sorted(mirrored.vectors)
+        # the sweep runs over the axis of the smaller diagonal entry, whichever comes first
+        for gram in ([[10**6, 0], [0, 1]], [[1, 0], [0, 10**6]]):
+            steps = []
+
+            def counted(*args):
+                steps.append(len(range(*args)))
+                return range(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(quadform, "range", counted, raising=False)
+                assert len(solve_square(Q(gram), 10**12).vectors) == 28
+            assert sum(steps) == 2001, gram  # |y| <= 1000
+
     def test_completeness_and_solutions_on_all_small_forms(self):
         """Complete exactly when D = b^2 - ad < 0, or D is a nonzero square and
         c != 0, and equal to the sweep oracle; every form with entries in
