@@ -2,15 +2,19 @@
 
     PYTHONPATH=src python -m pytest bench --benchmark-json out.json
 
-Each case times one ``intlin`` kernel on a seeded random symmetric matrix
-with entries in [-9, 9], at n = 10, 20, 40 and 80.  ``extra_info`` holds the
-largest bit-length of any integer the kernel computed, measured in one
-separate, untimed call whose matrix entries record every arithmetic result,
-next to the bit-length of the determinant for scale.
-``test_solve_over_determinant`` records ``rational_solve``'s median time at
-n = 80 as a ratio of ``determinant``'s: one forward elimination each, so the
-ratio is near 1.  ``bench/`` sits outside the tier-1 ``testpaths``, so the
-plain test run does not collect it.
+Each case times one ``intlin`` kernel, or ``handle.d3`` on the framed link
+with that linking matrix and rotation numbers 1..n, on a seeded random
+symmetric matrix with entries in [-9, 9], at n = 10, 20, 40 and 80.
+``extra_info`` holds the largest bit-length of any integer the kernel
+computed, measured in one separate, untimed call whose matrix entries record
+every arithmetic result, next to the bit-length of the determinant for scale.
+``test_solve_over_determinant`` and ``test_d3_over_determinant`` record the
+median time of ``rational_solve`` and of ``d3`` at n = 80 as a ratio of
+``determinant``'s.  ``rational_solve`` runs one forward elimination, so its
+ratio is near 1; ``d3`` runs one symmetric elimination that updates only the
+upper triangle of the (n+1) x (n+1) bordered matrix, so its ratio is below 1.
+``bench/`` sits outside the tier-1 ``testpaths``, so the plain test run does
+not collect it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from time import perf_counter
 
 import pytest
 
+from steincheck.handle import FramedLinkPresentation, d3
 from steincheck.intlin import IntMatrix, cokernel, determinant, inertia, rational_solve
 
 SIZES = (10, 20, 40, 80)
@@ -39,12 +44,20 @@ def solve(A: IntMatrix):
     return rational_solve(A, list(range(1, A.rows + 1)))
 
 
+def link_d3(A: IntMatrix):
+    return d3(FramedLinkPresentation(A, tuple(range(1, A.rows + 1))))
+
+
 KERNELS = {
     "determinant": determinant,
     "inertia": inertia,
     "rational_solve": solve,
     "cokernel": cokernel,
+    "d3": link_d3,
 }
+
+# d3 warns when the boundary is not a homology sphere, as for most of these links
+NOT_A_HOMOLOGY_SPHERE = "ignore:d3 computed for a boundary"
 
 
 def largest_bits(kernel, rows: list[list[int]]) -> int:
@@ -80,6 +93,7 @@ def largest_bits(kernel, rows: list[list[int]]) -> int:
     return peak
 
 
+@pytest.mark.filterwarnings(NOT_A_HOMOLOGY_SPHERE)
 @pytest.mark.parametrize("n", SIZES, ids=lambda n: "n%d" % n)
 @pytest.mark.parametrize("name", list(KERNELS))
 def test_kernel(benchmark, name, n):
@@ -93,14 +107,23 @@ def test_kernel(benchmark, name, n):
     benchmark(kernel, A)
 
 
-def test_solve_over_determinant(benchmark):
+def over_determinant(benchmark, kernel, group: str) -> None:
     A = IntMatrix.from_rows(symmetric_rows(80))
     det_times = []
     for _ in range(7):
         start = perf_counter()
         determinant(A)
         det_times.append(perf_counter() - start)
-    benchmark.group = "solve-over-determinant"
-    benchmark(solve, A)
+    benchmark.group = group
+    benchmark(kernel, A)
     benchmark.extra_info.update(n=80, determinant_s=median(det_times))
     benchmark.extra_info["ratio"] = benchmark.stats.stats.median / median(det_times)
+
+
+def test_solve_over_determinant(benchmark):
+    over_determinant(benchmark, solve, "solve-over-determinant")
+
+
+@pytest.mark.filterwarnings(NOT_A_HOMOLOGY_SPHERE)
+def test_d3_over_determinant(benchmark):
+    over_determinant(benchmark, link_d3, "d3-over-determinant")

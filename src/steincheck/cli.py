@@ -147,13 +147,12 @@ def _cmd_family_x(args) -> int:
         if lo < 0:
             raise CliInputError("family parameters must be >= 0")
         members = [x_family(p) for p in range(lo, hi + 1)]
+    _check_output_digits(args, members[-1].manifold.form.gram.entries[1][1])  # -2p^2 + p - 3
     if args.output == "json":
         if args.p is not None:
             _emit_json(member_json(members[0]))
         else:
-            _emit_json(
-                {"meta": FIXTURE_NOTES, "members": [member_json(m) for m in members]}
-            )
+            _emit_json({"meta": FIXTURE_NOTES, "members": [member_json(m) for m in members]})
     else:
         for member in members:
             print(_member_text(member))
@@ -206,6 +205,7 @@ def _cmd_lemma_basis_restriction(args) -> int:
     if args.p < 0:
         raise CliInputError("--p must be >= 0")
     member = x_family(args.p)
+    _check_output_digits(args, member.k)
     s = member.s_class
     c = pairing(member.manifold.form, s, s)
     sols = solve_square(member.manifold.form, c)
@@ -462,6 +462,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (CliInputError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+
+
+def _check_output_digits(args, largest: int) -> None:
+    """Name the --p or --p-range whose output would pass the int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(largest).bit_length() > 3 * limit and abs(largest) >= 10 ** limit:
+        option, value = ("--p", str(args.p)) if args.p is not None else ("--p-range", args.p_range)
+        raise CliInputError("%s %s is too large: the output would print an integer of more "
+                            "than %d digits" % (option, _clip(value), limit))
 
 
 def main() -> None:

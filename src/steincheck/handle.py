@@ -16,13 +16,12 @@ from typing import Optional, Sequence
 
 from .intlin import (
     AbelianGroup,
+    DegenerateLinkingFormError,
     IntMatrix,
-    _solve_det,
+    _symmetric_bareiss,
     cokernel,
-    determinant,
     matrix_from_json,
     matrix_to_json,
-    signature,
     vector_from_json,
     vector_to_json,
 )
@@ -148,13 +147,14 @@ def invariants_from_link(L: FramedLinkPresentation, name: str = "") -> Algebraic
     stein = False
     if L.tb is not None:
         stein = stein_checks(L).all_ok
+    pos, neg, zero, det = _symmetric_bareiss(L.linking.to_lists(), L.n)
     return AlgebraicFourManifold(
         form=QuadraticForm(L.linking),
         c1=L.rot,
         euler=1 + L.n,
-        sig=signature(L.linking),
+        sig=pos - neg,
         simply_connected=True,
-        boundary_homology_sphere=abs(determinant(L.linking)) == 1,
+        boundary_homology_sphere=not zero and abs(det) == 1,
         name=name or "2-handlebody on %d handles" % L.n,
         stein=stein,
     )
@@ -175,11 +175,20 @@ def chern_eval(M: AlgebraicFourManifold, v: Sequence[int]) -> int:
     return sum(M.c1[i] * v[i] for i in range(len(v)))
 
 
+def _bordered_terms(L: FramedLinkPresentation) -> tuple[Fraction, int, int]:
+    """(c1^2, sigma, det) of the linking matrix A from one elimination of
+    M = [[A, rot], [rot^T, 0]]: det M = -det A * c1^2 (Schur complement)."""
+    m = [list(row) + [r] for row, r in zip(L.linking.entries, L.rot)] + [list(L.rot) + [0]]
+    pos, neg, zero, det = _symmetric_bareiss(m, L.n)
+    if zero:
+        raise DegenerateLinkingFormError("degenerate linking form: matrix is singular")
+    return Fraction(-m[-1][-1], det), pos - neg, det
+
+
 def c1_square(L: FramedLinkPresentation) -> Fraction:
     """c1^2 of the 2-handlebody: rot . x for the exact solution of
     linking x = rot.  Requires a nonsingular linking matrix."""
-    numerators, det = _solve_det(L.linking, L.rot)
-    return Fraction(sum(x * r for x, r in zip(numerators, L.rot)), det)
+    return _bordered_terms(L)[0]
 
 
 def d3(L: FramedLinkPresentation) -> Fraction:
@@ -196,13 +205,11 @@ def d3(L: FramedLinkPresentation) -> Fraction:
 def _d3_terms(L: FramedLinkPresentation) -> tuple[Fraction, Fraction, int, int]:
     """d3 together with the terms it is built from, each computed once:
     (d3, c1^2, sigma, det of the linking matrix)."""
-    numerators, det = _solve_det(L.linking, L.rot)  # c1^2 and det from one elimination
-    csq = Fraction(sum(x * r for x, r in zip(numerators, L.rot)), det)
+    csq, sig, det = _bordered_terms(L)
     if abs(det) != 1:
         warnings.warn(
             "d3 computed for a boundary that is not a homology sphere; "
             "the value depends on the chosen lift of c1 over torsion",
             stacklevel=3,
         )
-    sig = signature(L.linking)
     return (csq - 3 * sig - 2 * (1 + L.n)) / 4, csq, sig, det

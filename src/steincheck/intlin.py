@@ -39,7 +39,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(e) for e in row) for row in rows)
+        data = tuple(tuple(row) for row in rows)
         n_rows = len(data)
         n_cols = len(data[0]) if data else 0
         return cls(n_rows, n_cols, data)
@@ -56,7 +56,7 @@ class IntMatrix:
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
         n = len(diag)
         return cls.from_rows(
-            [[int(diag[i]) if i == j else 0 for j in range(n)] for i in range(n)]
+            [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
     @property
@@ -404,25 +404,22 @@ def determinant(A: IntMatrix) -> int:
     return minor if rank == A.rows else 0
 
 
-def inertia(A: IntMatrix) -> tuple[int, int, int]:
-    """Counts of (positive, negative, zero) diagonal entries of a
-    diagonalization of a symmetric matrix, by symmetric fraction-free
-    elimination on integers.
+def _symmetric_bareiss(m: list[list[int]], n: int) -> tuple[int, int, int, int]:
+    """Symmetric fraction-free elimination of ``m`` in place, pivoting on its
+    leading n x n block only and carrying any trailing rows and columns along.
+    Returns the (positive, negative, zero) counts and the last pivot.
 
-    Each pivot is a leading principal minor of a matrix congruent to A by a
-    unimodular change of basis, and the matching diagonal entry is that
-    pivot divided by the previous one, so it is positive exactly when the
-    two pivots have the same sign.  When a pivot vanishes but its row does
-    not, either swap with a nonzero diagonal partner or substitute
-    e_i -> e_i + e_j, which produces the diagonal entry 2*A[i][j] (the
-    standard hyperbolic-pair trick).  A zero row of the trailing block is a
-    radical direction and counts as zero.
-    """
-    if not A.is_symmetric:
-        raise ValueError("inertia requires a symmetric matrix")
-    n = A.rows
-    m = A.to_lists()
-    pos = neg = zero = 0
+    Each pivot is a leading principal minor of a matrix congruent to m by a
+    unimodular change of basis; the matching diagonal entry is that pivot over
+    the previous one, so it is negative exactly when their signs differ.  A
+    vanishing pivot with a nonzero row swaps with a nonzero diagonal partner
+    or substitutes e_i -> e_i + e_j, giving the diagonal entry 2*m[i][j]; a
+    zero row of the leading block is a radical direction and counts as zero.
+    With no zero count the last pivot is the leading block's determinant and a
+    trailing m[i][j] ends as the minor bordering it with row i and column j.
+    Only the upper triangle is updated; the lower one is restored where a move
+    reads it."""
+    neg = zero = 0
     prev = 1
     for k in range(n):
         if m[k][k] == 0:
@@ -430,6 +427,8 @@ def inertia(A: IntMatrix) -> tuple[int, int, int]:
             if j is None:
                 zero += 1
                 continue
+            for i in range(k + 1, j + 1):  # the lower entries the move reads
+                m[i][k:i] = [m[c][i] for c in range(k, i)]
             if m[j][j]:
                 m[k], m[j] = m[j], m[k]
                 for row in m[k:]:
@@ -438,12 +437,20 @@ def inertia(A: IntMatrix) -> tuple[int, int, int]:
                 m[k] = [x + y for x, y in zip(m[k], m[j])]
                 for row in m[k:]:
                     row[k] += row[j]
-        if (m[k][k] > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        prev = _bareiss_step(m, k, range(k + 1, n), prev)
-    return pos, neg, zero
+        rk, p = m[k], m[k][k]
+        neg += (p > 0) != (prev > 0)
+        for i in range(k + 1, len(m)):
+            ri, a = m[i], rk[i]
+            ri[i:] = [(x * p - a * y) // prev for x, y in zip(ri[i:], rk[i:])]
+        prev = p
+    return n - neg - zero, neg, zero, prev
+
+
+def inertia(A: IntMatrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) counts of a symmetric matrix's diagonal form."""
+    if not A.is_symmetric:
+        raise ValueError("inertia requires a symmetric matrix")
+    return _symmetric_bareiss(A.to_lists(), A.rows)[:3]
 
 
 def signature(A: IntMatrix) -> int:
@@ -452,8 +459,8 @@ def signature(A: IntMatrix) -> int:
     return pos - neg
 
 
-def _solve_det(A: IntMatrix, b: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Cramer numerators and det(A): x = numerators / det(A) solves A x = b.
+def rational_solve(A: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
+    """Exact solution of A x = b over Q for square nonsingular A.
     Forward Bareiss on [A | b] ends at p = +-det(A); the integers X = p x follow
     by back-substitution X_i = (p m[i][n] - sum_{j>i} m[i][j] X_j) / m[i][i]."""
     if not A.is_square:
@@ -462,22 +469,14 @@ def _solve_det(A: IntMatrix, b: Sequence[int]) -> tuple[tuple[int, ...], int]:
     if len(b) != n:
         raise ValueError("right-hand side length does not match matrix size")
     m = [list(row) + [b[i]] for i, row in enumerate(A.entries)]
-    sign = p = 1
+    p = 1
     for k in range(n):
-        swaps = _move_pivot(m, k, n, k + 1)  # search column k only
-        if swaps is None:
+        if _move_pivot(m, k, n, k + 1) is None:  # search column k only
             raise DegenerateLinkingFormError("degenerate linking form: matrix is singular")
-        sign *= (-1) ** swaps
         p = _bareiss_step(m, k, range(k + 1, n), p)
     for i in reversed(range(n)):  # column n turns into the X_i, last first
         m[i][n] = (p * m[i][n] - sum(m[i][j] * m[j][n] for j in range(i + 1, n))) // m[i][i]
-    return tuple(sign * row[n] for row in m), sign * p
-
-
-def rational_solve(A: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
-    """Exact solution of A x = b over Q for square nonsingular A (``_solve_det``)."""
-    numerators, det = _solve_det(A, b)
-    return tuple(Fraction(x, det) for x in numerators)
+    return tuple(Fraction(row[n], p) for row in m)
 
 
 def congruence_transform(F: IntMatrix, B: IntMatrix) -> IntMatrix:

@@ -9,8 +9,8 @@ from typing import Optional, Sequence
 
 from .intlin import (
     IntMatrix,
+    _symmetric_bareiss,
     determinant,
-    inertia,
     matrix_from_json,
     matrix_to_json,
 )
@@ -101,8 +101,8 @@ def parity(F: QuadraticForm) -> str:
 
 
 def classify(F: QuadraticForm) -> FormClass:
-    pos, neg, zero = inertia(F.gram)
     rank = F.rank
+    pos, neg, zero, det = _symmetric_bareiss(F.gram.to_lists(), rank)
     if zero > 0:
         definiteness = "degenerate"
     elif pos == rank:
@@ -116,7 +116,7 @@ def classify(F: QuadraticForm) -> FormClass:
         signature=pos - neg,
         parity=parity(F),
         definiteness=definiteness,
-        unimodular=abs(determinant(F.gram)) == 1,
+        unimodular=not zero and abs(det) == 1,
     )
 
 

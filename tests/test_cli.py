@@ -47,12 +47,14 @@ class TestD3Command:
         assert obj["boundary_homology_sphere"] is True
 
     def test_json_computes_each_term_once(self, capsys, monkeypatch):
-        # c1^2 and det come from one _solve_det elimination, sigma from one
-        # signature; neither determinant nor rational_solve runs again
+        # c1^2, sigma and det come from one symmetric elimination of the
+        # bordered linking matrix; no other elimination runs
         import steincheck.handle as handle
         import steincheck.intlin as intlin
 
-        counts = dict.fromkeys(("_solve_det", "signature", "determinant", "rational_solve"), 0)
+        counts = dict.fromkeys(
+            ("_symmetric_bareiss", "_solve_det", "signature", "determinant", "rational_solve"), 0
+        )
         for module in (handle, intlin):
             for name in counts:
                 if hasattr(module, name):
@@ -65,7 +67,13 @@ class TestD3Command:
             capsys, "d3", str(FIXTURES / "x_shadow_link.json"), "--output", "json"
         )
         assert code == 0 and json.loads(out)["boundary_homology_sphere"] is True
-        assert counts == {"_solve_det": 1, "signature": 1, "determinant": 0, "rational_solve": 0}
+        assert counts == {
+            "_symmetric_bareiss": 1,
+            "_solve_det": 0,
+            "signature": 0,
+            "determinant": 0,
+            "rational_solve": 0,
+        }
 
     def test_singular_linking_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "zero.json"
@@ -130,6 +138,30 @@ class TestInputErrors:
             message = err.splitlines()[-1].split(" error: ", 1)[1]
             assert code == 2 and message.endswith("... (4304 characters)")
             assert len(message) <= 100
+
+    def test_values_whose_output_passes_the_digit_limit(self, capsys):
+        # family x prints -2p^2 + p - 3 and basis-restriction p^2 - q + 1,
+        # past 4,300 digits from p = 8*10^2149 and p = 4*10^2150 respectively
+        fits, family_too_big, both_too_big = ("%d" % d + "0" * e for d, e in
+                                              ((4, 2149), (8, 2149), (4, 2150)))
+        for argv, ok in (
+            (["family", "x", "--p", fits], True),
+            (["family", "x", "--p", family_too_big], False),
+            (["family", "x", "--p-range", "%s..%s" % (family_too_big, family_too_big)], False),
+            (["lemma", "basis-restriction", "--p", family_too_big], True),
+            (["lemma", "basis-restriction", "--p", both_too_big], False),
+        ):
+            for output in ("text", "json"):
+                code, out, err = invoke(capsys, *argv, "--output", output)
+                if ok:
+                    assert code in (0, 1) and out and not err
+                    continue
+                assert code == 2 and not out
+                option, value = argv[-2:]
+                assert err == (
+                    "error: %s %s... (%d characters) is too large: the output would print "
+                    "an integer of more than 4300 digits\n" % (option, value[:40], len(value))
+                )
 
     def test_int_option_errors_read_as_argparse_wrote_them(self, capsys):
         code, _, err = invoke(capsys, "family", "x", "--p", "x7")

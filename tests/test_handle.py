@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from steincheck.handle import (
     AlgebraicFourManifold,
     FramedLinkPresentation,
+    _d3_terms,
     boundary_first_homology,
     c1_square,
     chern_eval,
@@ -17,7 +19,13 @@ from steincheck.intlin import DegenerateLinkingFormError, IntMatrix
 from steincheck.quadform import QuadraticForm
 from steincheck.surgery import x_family
 
-from oracles import perm_determinant, random_symmetric_matrix
+from oracles import (
+    charpoly_inertia,
+    fraction_determinant,
+    perm_determinant,
+    random_symmetric_matrix,
+    random_unimodular_matrix,
+)
 
 
 def link(rows, rot, tb=None):
@@ -186,6 +194,52 @@ class TestD3:
     def test_singular_linking_rejected(self):
         with pytest.raises(DegenerateLinkingFormError):
             d3(link([[0]], [0]))
+
+    def test_terms_match_oracles(self):
+        # dense links, and hyperbolic planes plus a diagonal part plus a
+        # radical hidden by a unimodular change of basis, so that zero pivots
+        # turn up after earlier steps have changed the trailing block
+        rng = random.Random(4242)
+        cases = [([], [])]
+        for n in (1, 2, 3, 4, 6, 9, 13, 20, 30):
+            for kind in ("dense", "hyperbolic", "singular"):
+                if kind == "dense":
+                    rows = random_symmetric_matrix(rng, n, -9, 9)
+                else:
+                    z = rng.randint(1, min(3, n)) if kind == "singular" else 0
+                    k = rng.randint(0, (n - z) // 2)
+                    f = [[0] * n for _ in range(n)]
+                    for h in range(k):
+                        f[2 * h][2 * h + 1] = f[2 * h + 1][2 * h] = rng.choice([1, -1, 2, -3])
+                    for i in range(2 * k, n - z):
+                        f[i][i] = rng.choice([-3, -1, 1, 2])
+                    B = random_unimodular_matrix(rng, n, 3 * n)
+                    fb = [[sum(f[i][t] * B[t][j] for t in range(n)) for j in range(n)]
+                          for i in range(n)]
+                    rows = [[sum(B[t][i] * fb[t][j] for t in range(n)) for j in range(n)]
+                            for i in range(n)]
+                cases.append((rows, [rng.randint(-5, 5) for _ in range(n)]))
+        singular = 0
+        for rows, rot in cases:
+            n = len(rows)
+            det = fraction_determinant(rows)
+            bordered = [row + [r] for row, r in zip(rows, rot)] + [rot + [0]]
+            if det == 0:
+                singular += 1
+                with pytest.raises(DegenerateLinkingFormError):
+                    _d3_terms(link(rows, rot))
+                continue
+            pos, neg, _ = charpoly_inertia(rows) if n else (0, 0, 0)
+            csq = Fraction(-fraction_determinant(bordered), det)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                terms = _d3_terms(link(rows, rot))
+            assert terms == ((csq - 3 * (pos - neg) - 2 * (1 + n)) / 4, csq, pos - neg, det)
+            assert len(caught) == (abs(det) != 1)
+            assert c1_square(link(rows, rot)) == csq
+            m = invariants_from_link(link(rows, rot))
+            assert (m.sig, m.boundary_homology_sphere) == (pos - neg, abs(det) == 1)
+        assert singular >= 9
 
 
 class TestCharacteristicProperty:

@@ -6,7 +6,6 @@ import pytest
 
 from steincheck.intlin import (
     AbelianGroup,
-    _solve_det,
     DegenerateLinkingFormError,
     IntMatrix,
     cokernel,
@@ -339,9 +338,10 @@ class TestRationalSolve:
                 assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
 
     def test_row_swaps_set_the_sign(self):
-        # x = (3, 2) and det = -1, so the Cramer numerators are (-3, -2)
-        assert _solve_det(M([[0, 1], [1, 0]]), [2, 3]) == ((-3, -2), -1)
-        assert _solve_det(M([]), []) == ((), 1)
+        # the row swap makes the last pivot -det = 1, so x = (3, 2) keeps its sign
+        assert rational_solve(M([[0, 1], [1, 0]]), [2, 3]) == (3, 2)
+        assert rational_solve(M([[0, 1], [1, 0]]), [-2, 3]) == (3, -2)
+        assert rational_solve(M([]), []) == ()
 
     @pytest.mark.parametrize("n", (10, 20, 40))
     def test_solve_det_against_sympy(self, n):
@@ -360,13 +360,12 @@ class TestRationalSolve:
                 A = DomainMatrix([[ZZ(e) for e in row] for row in a], (n, n), ZZ)
                 det = int(A.det())
             b = [rng.randint(-10**6, 10**6) for _ in range(n)]
-            # sympy: A xnum = xden b, so the Cramer numerators are det * xnum / xden
+            # sympy: A xnum = xden b
             xnum, xden = A.solve_den(DomainMatrix([[ZZ(e)] for e in b], (n, 1), ZZ))
-            numerators, got_det = _solve_det(M(a), b)
-            assert got_det == det == determinant(M(a))
-            assert [x * int(xden) for x in numerators] == [
-                int(row[0]) * det for row in xnum.to_list()
-            ]
+            assert det == determinant(M(a))
+            assert rational_solve(M(a), b) == tuple(
+                Fraction(int(row[0]), int(xden)) for row in xnum.to_list()
+            )
 
 
 class TestCongruenceTransform:
@@ -414,6 +413,14 @@ class TestIntMatrix:
             IntMatrix(2, 2, ((1, 2), (3,)))
         with pytest.raises(ValueError):
             IntMatrix(1, 1, ((1.5,),))
+
+    def test_entries_are_checked_not_coerced(self):
+        for bad in (2.7, 2.0, True, False, "3"):
+            with pytest.raises(ValueError, match="matrix entries must be integers"):
+                IntMatrix.from_rows([[1, bad], [bad, 3]])
+            with pytest.raises(ValueError, match="matrix entries must be integers"):
+                IntMatrix.diagonal([1, bad])
+        assert IntMatrix.diagonal([2, -1]).entries == ((2, 0), (0, -1))
 
     def test_matmul_shapes(self):
         a = M([[1, 2, 3]])
