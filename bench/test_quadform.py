@@ -13,6 +13,14 @@ one separate, untimed call as the summed length of the ranges that
 ``test_solve_square_long_axis`` solves diag(10^6, 1) and its mirror at
 c = 10^12, where a sweep along the axis of the larger diagonal entry would
 take 10^3 times the steps.
+
+``test_is_isomorphic`` times one pass of ``is_isomorphic`` over a seeded list
+of pairs per kind: family forms of equal and of different parity (decided by
+the classes alone), same-determinant definite rank-2 pairs (decided by
+reduction) and rank-3 pairs B^T F B with equal invariants (undecided).
+``test_infinitude_report`` builds the odd certificate over q = 1..50, 1..200
+and 1..800; ``extra_info["classify_calls"]`` counts the ``classify`` calls of
+one report, measured in one separate, untimed call.
 """
 
 from __future__ import annotations
@@ -22,8 +30,12 @@ from math import isqrt
 
 import pytest
 
+import steincheck.obstruct as obstruct
 import steincheck.quadform as quadform
-from steincheck.quadform import QuadraticForm, solve_square
+from steincheck.intlin import IntMatrix, congruence_transform
+from steincheck.obstruct import infinitude_report
+from steincheck.quadform import QuadraticForm, is_isomorphic, solve_square
+from steincheck.surgery import x_family
 
 EXPONENTS = (2, 4, 6, 8, 10)
 KINDS = ("definite", "isotropic", "split")
@@ -85,3 +97,77 @@ def test_solve_square_long_axis(benchmark, monkeypatch, gram):
     benchmark.extra_info.update(gram=gram, c=10**12, steps=steps(F, 10**12, monkeypatch))
     result = benchmark(solve_square, F, 10**12)
     assert result.complete and len(result.vectors) == 28
+
+
+def unimodular(rng: random.Random, n: int) -> IntMatrix:
+    """A product of random elementary shears, swaps and sign flips."""
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        move, k = rng.randrange(3), rng.choice((-2, -1, 1, 2))
+        for row in B:
+            if move == 0:
+                row[i] += k * row[j]
+            elif move == 1:
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[i] = -row[i]
+    return IntMatrix.from_rows(B)
+
+
+def iso_pairs(kind: str) -> list[tuple[QuadraticForm, QuadraticForm]]:
+    rng = random.Random("iso-%s" % kind)
+    pairs = []
+    if kind == "family":
+        form = lambda p: x_family(p).manifold.form
+        for p in range(1, 101):
+            pairs += [(form(p), form(p + 2)), (form(p), form(p + 1))]
+    elif kind == "definite-rank-2":
+        # reduced forms 2|b| <= a <= c of one determinant ac - b^2, against an
+        # image of themselves and of the other classes
+        for det in range(20, 80):
+            reduced = [(a, b, c) for a in range(1, isqrt(4 * det // 3) + 1)
+                       for b in range(-(a // 2), a // 2 + 1)
+                       for c in [(det + b * b) // a] if (det + b * b) % a == 0 and a <= c]
+            a, b, c = reduced[0]
+            F = IntMatrix.from_rows([[a, b], [b, c]])
+            for a, b, c in reduced:
+                G = congruence_transform(IntMatrix.from_rows([[a, b], [b, c]]), unimodular(rng, 2))
+                pairs.append((QuadraticForm(F), QuadraticForm(G)))
+    else:
+        for d in range(2, 52):
+            F = IntMatrix.diagonal([1, -1, d])
+            pairs.append((QuadraticForm(F), QuadraticForm(congruence_transform(F, unimodular(rng, 3)))))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ("family", "definite-rank-2", "undecided-rank-3"))
+def test_is_isomorphic(benchmark, kind):
+    pairs = iso_pairs(kind)
+    benchmark.group = "is_isomorphic"
+    verdicts = benchmark(lambda: [is_isomorphic(F, G) for F, G in pairs])
+    benchmark.extra_info.update(pairs=len(pairs),
+                                verdicts={v: verdicts.count(v) for v in sorted(set(verdicts))})
+    if kind == "undecided-rank-3":
+        assert set(verdicts) <= {"undecided", "yes"}
+    else:
+        assert "undecided" not in verdicts
+
+
+@pytest.mark.parametrize("hi", (50, 200, 800), ids=lambda hi: "q1-%d" % hi)
+def test_infinitude_report(benchmark, monkeypatch, hi):
+    calls = 0
+    classify = quadform.classify
+
+    def counted(F):
+        nonlocal calls
+        calls += 1
+        return classify(F)
+
+    with monkeypatch.context() as m:
+        for module in (quadform, obstruct):
+            m.setattr(module, "classify", counted)
+        infinitude_report("odd", range(1, hi + 1))
+    benchmark.group = "infinitude_report"
+    benchmark.extra_info.update(q_range=[1, hi], classify_calls=calls)
+    assert benchmark(infinitude_report, "odd", range(1, hi + 1)).conclusion

@@ -17,10 +17,10 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .handle import (
+    D3_TORSION_WARNING,
     FramedLinkPresentation,
     _d3_terms,
     boundary_first_homology,
-    d3,
 )
 from .intlin import _clip
 from .obstruct import (
@@ -35,6 +35,7 @@ from .surgery import (
     FIXTURE_NOTES,
     LogTransformFamilyMember,
     compose,
+    family_parameter,
     fp_matrix,
     member_json,
     normalized_form,
@@ -141,13 +142,13 @@ def _cmd_form_iso(args) -> int:
 
 def _cmd_family_x(args) -> int:
     if args.p is not None:
-        members = [x_family(args.p)]
+        members, named = [x_family(args.p)], ("--p", args.p)
     else:
         lo, hi = _parse_range(args.p_range)
         if lo < 0:
             raise CliInputError("family parameters must be >= 0")
-        members = [x_family(p) for p in range(lo, hi + 1)]
-    _check_output_digits(args, members[-1].manifold.form.gram.entries[1][1])  # -2p^2 + p - 3
+        members, named = [x_family(p) for p in range(lo, hi + 1)], ("--p-range", args.p_range)
+    _check_output_digits(members[-1].manifold.form.gram.entries[1][1], *named)  # -2p^2 + p - 3
     if args.output == "json":
         if args.p is not None:
             _emit_json(member_json(members[0]))
@@ -205,7 +206,7 @@ def _cmd_lemma_basis_restriction(args) -> int:
     if args.p < 0:
         raise CliInputError("--p must be >= 0")
     member = x_family(args.p)
-    _check_output_digits(args, member.k)
+    _check_output_digits(member.k, "--p", args.p)
     s = member.s_class
     c = pairing(member.manifold.form, s, s)
     sols = solve_square(member.manifold.form, c)
@@ -239,10 +240,9 @@ def _cmd_genus_bound(args) -> int:
         raise CliInputError("q values must be positive")
     rows = []
     for q in range(lo, hi + 1):
-        p = 2 * q - 1 if args.parity == "odd" else 2 * q
-        member = x_family(p)
+        member = x_family(family_parameter(args.parity, q))
         bound = adjunction_lower_bound(member.manifold, member.s_class)
-        rows.append((q, p, bound))
+        rows.append((q, member.p, bound))
     if args.output == "json":
         _emit_json(
             {
@@ -284,8 +284,10 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_d3(args) -> int:
     link = _load_link(args.file)
+    value, csq, sig, det = _d3_terms(link)
+    if abs(det) != 1:
+        print("warning: %s" % D3_TORSION_WARNING, file=sys.stderr)
     if args.output == "json":
-        value, csq, sig, det = _d3_terms(link)
         _emit_json(
             {
                 "d3": str(value),
@@ -296,7 +298,7 @@ def _cmd_d3(args) -> int:
             }
         )
     else:
-        print(d3(link))
+        print(value)
     return 0
 
 
@@ -333,6 +335,8 @@ def _cmd_mapping_class_fp(args) -> int:
     if args.compose_q is not None:
         if args.compose_q < 0:
             raise CliInputError("--compose parameter must be >= 0")
+        larger = ("--compose", args.compose_q) if args.compose_q > args.p else ("--p", args.p)
+        _check_output_digits(args.p + args.compose_q, *larger)  # the (3, 2) entry of f_p f_q
         f = compose(f, fp_matrix(args.compose_q))
     stab = stabilizes_summand(f)
     if args.output == "json":
@@ -464,13 +468,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
-def _check_output_digits(args, largest: int) -> None:
-    """Name the --p or --p-range whose output would pass the int-to-str digit limit."""
+def _check_output_digits(largest: int, option: str, value) -> None:
+    """Name the option whose value makes an output integer pass the int-to-str digit limit."""
     limit = sys.get_int_max_str_digits()
     if limit and abs(largest).bit_length() > 3 * limit and abs(largest) >= 10 ** limit:
-        option, value = ("--p", str(args.p)) if args.p is not None else ("--p-range", args.p_range)
         raise CliInputError("%s %s is too large: the output would print an integer of more "
-                            "than %d digits" % (option, _clip(value), limit))
+                            "than %d digits" % (option, _clip(str(value)), limit))
 
 
 def main() -> None:

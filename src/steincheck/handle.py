@@ -25,7 +25,10 @@ from .intlin import (
     vector_from_json,
     vector_to_json,
 )
-from .quadform import QuadraticForm
+from .quadform import QuadraticForm, classify
+
+D3_TORSION_WARNING = ("d3 computed for a boundary that is not a homology sphere; "
+                      "the value depends on the chosen lift of c1 over torsion")
 
 
 @dataclass(frozen=True)
@@ -144,19 +147,17 @@ def invariants_from_link(L: FramedLinkPresentation, name: str = "") -> Algebraic
     Stein flag is set only when Legendrian data is present and every handle
     passes the framing and parity checks.
     """
-    stein = False
-    if L.tb is not None:
-        stein = stein_checks(L).all_ok
-    pos, neg, zero, det = _symmetric_bareiss(L.linking.to_lists(), L.n)
+    form = QuadraticForm(L.linking)
+    fc = classify(form)
     return AlgebraicFourManifold(
-        form=QuadraticForm(L.linking),
+        form=form,
         c1=L.rot,
         euler=1 + L.n,
-        sig=pos - neg,
+        sig=fc.signature,
         simply_connected=True,
-        boundary_homology_sphere=not zero and abs(det) == 1,
+        boundary_homology_sphere=fc.unimodular,
         name=name or "2-handlebody on %d handles" % L.n,
-        stein=stein,
+        stein=L.tb is not None and stein_checks(L).all_ok,
     )
 
 
@@ -175,20 +176,21 @@ def chern_eval(M: AlgebraicFourManifold, v: Sequence[int]) -> int:
     return sum(M.c1[i] * v[i] for i in range(len(v)))
 
 
-def _bordered_terms(L: FramedLinkPresentation) -> tuple[Fraction, int, int]:
-    """(c1^2, sigma, det) of the linking matrix A from one elimination of
+def _d3_terms(L: FramedLinkPresentation) -> tuple[Fraction, Fraction, int, int]:
+    """(d3, c1^2, sigma, det) of the linking matrix A from one elimination of
     M = [[A, rot], [rot^T, 0]]: det M = -det A * c1^2 (Schur complement)."""
     m = [list(row) + [r] for row, r in zip(L.linking.entries, L.rot)] + [list(L.rot) + [0]]
     pos, neg, zero, det = _symmetric_bareiss(m, L.n)
     if zero:
         raise DegenerateLinkingFormError("degenerate linking form: matrix is singular")
-    return Fraction(-m[-1][-1], det), pos - neg, det
+    csq = Fraction(-m[-1][-1], det)
+    return (csq - 3 * (pos - neg) - 2 * (1 + L.n)) / 4, csq, pos - neg, det
 
 
 def c1_square(L: FramedLinkPresentation) -> Fraction:
     """c1^2 of the 2-handlebody: rot . x for the exact solution of
     linking x = rot.  Requires a nonsingular linking matrix."""
-    return _bordered_terms(L)[0]
+    return _d3_terms(L)[1]
 
 
 def d3(L: FramedLinkPresentation) -> Fraction:
@@ -199,17 +201,7 @@ def d3(L: FramedLinkPresentation) -> Fraction:
     a homology sphere the value still evaluates but depends on the torsion
     lift of c1, so a warning is emitted.
     """
-    return _d3_terms(L)[0]
-
-
-def _d3_terms(L: FramedLinkPresentation) -> tuple[Fraction, Fraction, int, int]:
-    """d3 together with the terms it is built from, each computed once:
-    (d3, c1^2, sigma, det of the linking matrix)."""
-    csq, sig, det = _bordered_terms(L)
+    value, _, _, det = _d3_terms(L)
     if abs(det) != 1:
-        warnings.warn(
-            "d3 computed for a boundary that is not a homology sphere; "
-            "the value depends on the chosen lift of c1 over torsion",
-            stacklevel=3,
-        )
-    return (csq - 3 * sig - 2 * (1 + L.n)) / 4, csq, sig, det
+        warnings.warn(D3_TORSION_WARNING, stacklevel=2)
+    return value

@@ -117,10 +117,6 @@ class SmithDecomposition:
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal() if d != 0)
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors())
-
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -276,23 +272,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     )
 
 
-def _bareiss_step(m: list[list[int]], k: int, targets: Iterable[int], prev: int) -> int:
-    """Clear column k from the rows ``targets`` against the pivot row k,
-    fraction-free: row_i <- (p * row_i - m[i][k] * row_k) / prev on the
-    columns after k, where p = m[k][k] and prev is the previous pivot.
-    Returns p.  The division is exact by the Bareiss identity (Sylvester's
-    determinant identity), and every new entry is a minor of the matrix
-    the elimination started from.
-    """
-    p = m[k][k]
-    tail = m[k][k + 1:]
-    for i in targets:
-        ri = m[i]
-        a = ri[k]
-        ri[k + 1:] = [(x * p - a * y) // prev for x, y in zip(ri[k + 1:], tail)]
-    return p
-
-
 def _move_pivot(m: list[list[int]], k: int, rows: int, cols: int) -> Optional[int]:
     """Swap a nonzero entry of the trailing block into (k, k), searching
     column by column.  Returns the number of swaps made, or None when the
@@ -309,14 +288,15 @@ def _move_pivot(m: list[list[int]], k: int, rows: int, cols: int) -> Optional[in
 
 
 def _bareiss(m: list[list[int]], rows: int, cols: int) -> tuple[int, int]:
-    """Fraction-free (Bareiss) elimination of ``m`` in place.
-
-    Pivots are taken from the current column first, then from later
-    columns.  Returns the rank r and the last pivot times the sign of the
-    row and column swaps: a nonzero r x r minor of the input, equal to the
-    determinant when the input is square and nonsingular.  After step k
-    every trailing entry is a (k+1) x (k+1) minor of the input, so no
-    intermediate value outgrows the input's minors.
+    """Fraction-free (Bareiss) elimination of ``m`` in place, pivoting in its
+    first ``cols`` columns, the current one first, and carrying any later ones.
+    Step k sets each row i > k to (p * row_i - m[i][k] * row_k) / prev after
+    column k, for the pivot p = m[k][k] and the previous pivot prev.  Sylvester's
+    determinant identity makes the division exact and every new entry a
+    (k+1) x (k+1) minor of the input, so no value outgrows the input's minors.
+    Returns the rank r and the last pivot times the sign of the row and column
+    swaps: a nonzero r x r minor of the input, equal to the determinant when
+    the input is square and nonsingular.
     """
     sign = prev = 1
     for k in range(min(rows, cols)):
@@ -324,7 +304,11 @@ def _bareiss(m: list[list[int]], rows: int, cols: int) -> tuple[int, int]:
         if swaps is None:
             return k, sign * prev
         sign *= (-1) ** swaps
-        prev = _bareiss_step(m, k, range(k + 1, rows), prev)
+        p, tail = m[k][k], m[k][k + 1:]
+        for ri in m[k + 1:]:
+            a = ri[k]
+            ri[k + 1:] = [(x * p - a * y) // prev for x, y in zip(ri[k + 1:], tail)]
+        prev = p
     return min(rows, cols), sign * prev
 
 
@@ -460,20 +444,18 @@ def signature(A: IntMatrix) -> int:
 
 
 def rational_solve(A: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
-    """Exact solution of A x = b over Q for square nonsingular A.
-    Forward Bareiss on [A | b] ends at p = +-det(A); the integers X = p x follow
-    by back-substitution X_i = (p m[i][n] - sum_{j>i} m[i][j] X_j) / m[i][i]."""
+    """Exact solution of A x = b over Q for square nonsingular A.  Bareiss on [A | b]
+    pivots in A's columns only (a nonsingular A in column k at step k) and ends at
+    p = det(A); X = p x follows by X_i = (p m[i][n] - sum_{j>i} m[i][j] X_j) / m[i][i]."""
     if not A.is_square:
         raise ValueError("rational_solve requires a square matrix")
     n = A.rows
     if len(b) != n:
         raise ValueError("right-hand side length does not match matrix size")
     m = [list(row) + [b[i]] for i, row in enumerate(A.entries)]
-    p = 1
-    for k in range(n):
-        if _move_pivot(m, k, n, k + 1) is None:  # search column k only
-            raise DegenerateLinkingFormError("degenerate linking form: matrix is singular")
-        p = _bareiss_step(m, k, range(k + 1, n), p)
+    rank, p = _bareiss(m, n, n)
+    if rank < n:
+        raise DegenerateLinkingFormError("degenerate linking form: matrix is singular")
     for i in reversed(range(n)):  # column n turns into the X_i, last first
         m[i][n] = (p * m[i][n] - sum(m[i][j] * m[j][n] for j in range(i + 1, n))) // m[i][i]
     return tuple(Fraction(row[n], p) for row in m)

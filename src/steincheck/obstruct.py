@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .handle import AlgebraicFourManifold, chern_eval
 from .quadform import classify, is_isomorphic, pairing, solve_square
-from .surgery import LogTransformFamilyMember, x_family
+from .surgery import LogTransformFamilyMember, family_parameter, x_family
 
 CLASS_RIGIDITY_NOTE = (
     "The distinguished class is, up to sign, the only class of its square, "
@@ -181,10 +181,6 @@ def class_rigidity(member: LogTransformFamilyMember) -> bool:
     return sols.complete and sols.as_set() == {s, neg}
 
 
-def _member_for(parity: str, q: int) -> LogTransformFamilyMember:
-    return x_family(2 * q - 1 if parity == "odd" else 2 * q)
-
-
 def infinitude_report(parity: str, q_range: Sequence[int]) -> InfinitudeCertificate:
     """Build and check the infinitude certificate for one parity family.
 
@@ -203,7 +199,7 @@ def infinitude_report(parity: str, q_range: Sequence[int]) -> InfinitudeCertific
     if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
         raise ValueError("q_range must be strictly increasing")
 
-    members = [_member_for(parity, q) for q in qs]
+    members = [x_family(family_parameter(parity, q)) for q in qs]
     bounds = [adjunction_lower_bound(m.manifold, m.s_class).lower_bound for m in members]
     rigidity = [class_rigidity(m) for m in members]
     classes = homeo_classes([m.manifold for m in members])

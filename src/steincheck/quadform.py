@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 from .intlin import (
     IntMatrix,
     _symmetric_bareiss,
-    determinant,
     matrix_from_json,
     matrix_to_json,
 )
@@ -73,6 +72,7 @@ class FormClass:
     parity: str
     definiteness: str
     unimodular: bool
+    determinant: int  # 0 for a degenerate form
 
     def to_json_obj(self) -> dict:
         return {
@@ -117,6 +117,7 @@ def classify(F: QuadraticForm) -> FormClass:
         parity=parity(F),
         definiteness=definiteness,
         unimodular=not zero and abs(det) == 1,
+        determinant=0 if zero else det,
     )
 
 
@@ -131,19 +132,17 @@ def pairing(F: QuadraticForm, u: Sequence[int], v: Sequence[int]) -> int:
 def is_isomorphic(F: QuadraticForm, G: QuadraticForm) -> str:
     """Decide integral equivalence; one of "yes", "no", "undecided".
 
-    Rank, determinant, signature, and parity are congruence invariants, so
-    any mismatch is a definitive "no".  When the invariants agree and both
-    forms are unimodular and indefinite, the classification of indefinite
-    unimodular forms by (rank, signature, parity) gives a definitive "yes".
-    Rank-2 forms are decided by reduction (_binary_equivalent); anything
-    that remains is reported as undecided rather than guessed.
+    Every field of ``classify`` is a congruence invariant, so any mismatch is
+    a definitive "no".  When the classes agree and both forms are unimodular
+    and indefinite, the classification of indefinite unimodular forms by
+    (rank, signature, parity) gives a definitive "yes".  Rank-2 forms are
+    decided by reduction (_binary_equivalent); anything that remains is
+    reported as undecided rather than guessed.
     """
     if F.gram.entries == G.gram.entries:
         return "yes"
     cf, cg = classify(F), classify(G)
-    if cf.rank != cg.rank or cf.signature != cg.signature or cf.parity != cg.parity:
-        return "no"
-    if determinant(F.gram) != determinant(G.gram):
+    if cf != cg:
         return "no"
     if cf.unimodular and cf.definiteness == "indefinite":
         return "yes"

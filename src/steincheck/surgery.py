@@ -44,9 +44,7 @@ class LogTransformFamilyMember:
 
     @property
     def q(self) -> Optional[int]:
-        if self.p < 1:
-            return None
-        return (self.p + 1) // 2 if self.p % 2 == 1 else self.p // 2
+        return (self.p + 1) // 2 if self.p >= 1 else None
 
     def to_json_obj(self) -> dict:
         return {
@@ -74,7 +72,7 @@ def x_family(p: int) -> LogTransformFamilyMember:
             labels=("T_%d" % p, "R_%d" % p),
         )
         c1 = (0, -1 - p)
-        q = (p + 1) // 2 if p % 2 == 1 else p // 2
+        q = (p + 1) // 2
         s_class = (p * p - q + 1, 1)
         name = "X_%d" % p
     manifold = AlgebraicFourManifold(
@@ -88,6 +86,11 @@ def x_family(p: int) -> LogTransformFamilyMember:
         stein=True,
     )
     return LogTransformFamilyMember(p=p, manifold=manifold, s_class=s_class)
+
+
+def family_parameter(parity: str, q: int) -> int:
+    """p of the q-th member of the odd (p = 2q - 1) or even (p = 2q) family."""
+    return 2 * q - 1 if parity == "odd" else 2 * q
 
 
 def normalized_form(member: LogTransformFamilyMember) -> QuadraticForm:

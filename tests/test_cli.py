@@ -13,6 +13,10 @@ from oracles import fraction_determinant, random_symmetric_matrix
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+D3_WARNING_LINE = (
+    "warning: d3 computed for a boundary that is not a homology sphere; "
+    "the value depends on the chosen lift of c1 over torsion\n"
+)
 
 
 def invoke(capsys, *argv):
@@ -28,12 +32,21 @@ class TestD3Command:
         assert out == "-1/2\n"
 
     def test_unknot_files(self, capsys):
-        with pytest.warns(UserWarning):
-            code, out, _ = invoke(capsys, "d3", str(FIXTURES / "unknot_fr-2.json"))
-        assert code == 0 and out == "-1/4\n"
-        with pytest.warns(UserWarning):
-            code, out, _ = invoke(capsys, "d3", str(FIXTURES / "unknot_fr-3.json"))
-        assert code == 0 and out == "-1/3\n"
+        code, out, err = invoke(capsys, "d3", str(FIXTURES / "unknot_fr-2.json"))
+        assert code == 0 and out == "-1/4\n" and err == D3_WARNING_LINE
+        code, out, err = invoke(capsys, "d3", str(FIXTURES / "unknot_fr-3.json"))
+        assert code == 0 and out == "-1/3\n" and err == D3_WARNING_LINE
+
+    def test_warning_is_the_same_stderr_line_in_both_formats(self, capsys):
+        # repeated calls in one process warn each time
+        for _ in range(2):
+            errs = [invoke(capsys, "d3", str(FIXTURES / "unknot_fr-2.json"), "--output", output)[2]
+                    for output in ("text", "json")]
+            assert errs == [D3_WARNING_LINE, D3_WARNING_LINE]
+        for output in ("text", "json"):
+            code, out, err = invoke(capsys, "d3", str(FIXTURES / "x_shadow_link.json"),
+                                    "--output", output)
+            assert code == 0 and out and err == ""
 
     def test_json_output(self, capsys):
         code, out, _ = invoke(
@@ -162,6 +175,25 @@ class TestInputErrors:
                     "error: %s %s... (%d characters) is too large: the output would print "
                     "an integer of more than 4300 digits\n" % (option, value[:40], len(value))
                 )
+
+    def test_composed_mapping_class_past_the_digit_limit(self, capsys):
+        # f_P f_Q prints P + Q; the message names the larger option, --p on a tie
+        nines = "9" * 4300
+        for p, q, option, value in (
+            (nines, nines, "--p", nines),
+            ("1", nines, "--compose", nines),
+            (nines, "1", "--p", nines),
+        ):
+            for output in ("text", "json"):
+                code, out, err = invoke(capsys, "mapping-class", "fp", "--p", p, "--compose", q,
+                                        "--output", output)
+                assert code == 2 and not out
+                assert err == (
+                    "error: %s %s... (4300 characters) is too large: the output would print "
+                    "an integer of more than 4300 digits\n" % (option, value[:40])
+                )
+        code, out, _ = invoke(capsys, "mapping-class", "fp", "--p", nines, "--compose", "0")
+        assert code == 0 and nines in out
 
     def test_int_option_errors_read_as_argparse_wrote_them(self, capsys):
         code, _, err = invoke(capsys, "family", "x", "--p", "x7")

@@ -165,6 +165,11 @@ class TestD3:
         with pytest.warns(UserWarning):
             assert d3(UNKNOT_M3) == Fraction(-1, 3)
 
+    def test_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            d3(UNKNOT_M3)
+        assert [w.filename for w in record] == [__file__]
+
     def test_no_warning_for_homology_sphere(self):
         import warnings
 
@@ -231,10 +236,11 @@ class TestD3:
                 continue
             pos, neg, _ = charpoly_inertia(rows) if n else (0, 0, 0)
             csq = Fraction(-fraction_determinant(bordered), det)
+            terms = _d3_terms(link(rows, rot))
+            assert terms == ((csq - 3 * (pos - neg) - 2 * (1 + n)) / 4, csq, pos - neg, det)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                terms = _d3_terms(link(rows, rot))
-            assert terms == ((csq - 3 * (pos - neg) - 2 * (1 + n)) / 4, csq, pos - neg, det)
+                assert d3(link(rows, rot)) == terms[0]
             assert len(caught) == (abs(det) != 1)
             assert c1_square(link(rows, rot)) == csq
             m = invariants_from_link(link(rows, rot))

@@ -312,6 +312,12 @@ class TestRationalSolve:
         with pytest.raises(DegenerateLinkingFormError):
             rational_solve(M([[1, 2], [2, 4]]), [1, 1])
 
+    def test_singular_rejected_when_b_leaves_the_column_span(self):
+        # [A | b] has full row rank here, so only A's columns may give pivots
+        for a, b in (([[0]], [1]), ([[0, 0], [0, 1]], [1, 0]), ([[1, 2], [2, 4]], [0, 1])):
+            with pytest.raises(DegenerateLinkingFormError):
+                rational_solve(M(a), b)
+
     def test_substitution_round_trip(self):
         rng = random.Random(55)
         solved = 0

@@ -5,7 +5,8 @@ from math import isqrt
 import pytest
 
 import steincheck.quadform as quadform
-from steincheck.intlin import IntMatrix, congruence_transform
+import steincheck.intlin as intlin
+from steincheck.intlin import IntMatrix, congruence_transform, determinant
 from steincheck.quadform import (
     QuadraticForm,
     classify,
@@ -17,6 +18,7 @@ from steincheck.quadform import (
 
 from oracles import (
     orbit_classes,
+    random_symmetric_matrix,
     random_unimodular_matrix,
     reduced_definite_forms,
     sweep_square_solutions,
@@ -71,6 +73,27 @@ class TestClassify:
             fc = classify(family_form(p))
             assert fc.unimodular and fc.signature == 0
 
+    def test_determinant_matches_bareiss_determinant(self):
+        # dense forms, and forms of rank < n carried by a unimodular B
+        rng = random.Random(808)
+        degenerate = 0
+        for n in range(1, 9):
+            for _ in range(12):
+                rows = random_symmetric_matrix(rng, n, -5, 5)
+                if rng.random() < 0.4:
+                    k = rng.randint(0, n - 1)
+                    f = [[rows[i][j] if i < k and j < k else 0 for j in range(n)]
+                         for i in range(n)]
+                    B = IntMatrix.from_rows(random_unimodular_matrix(rng, n))
+                    rows = congruence_transform(IntMatrix.from_rows(f), B).to_lists()
+                F = Q(rows)
+                fc = classify(F)
+                assert fc.determinant == determinant(F.gram)
+                degenerate += fc.determinant == 0
+                assert (fc.definiteness == "degenerate") == (fc.determinant == 0)
+                assert fc.unimodular == (abs(fc.determinant) == 1)
+        assert degenerate >= 20
+
 
 class TestIsIsomorphic:
     def test_same_parity_family_members(self):
@@ -104,6 +127,30 @@ class TestIsIsomorphic:
         F = Q([[1, 0], [0, 11]])
         G = Q([[3, 1], [1, 4]])
         assert is_isomorphic(F, G) == "no"
+
+    def test_one_elimination_per_form_and_no_determinant(self, monkeypatch):
+        # classify's elimination already gives det, so is_isomorphic runs no other
+        counts = {"_symmetric_bareiss": 0, "determinant": 0}
+        for module in (quadform, intlin):
+            for name in counts:
+                if hasattr(module, name):
+                    def counted(*args, _name=name, _fn=getattr(module, name)):
+                        counts[_name] += 1
+                        return _fn(*args)
+
+                    monkeypatch.setattr(module, name, counted)
+        pairs = [
+            (family_form(1), family_form(3), "yes"),
+            (family_form(1), family_form(2), "no"),
+            (Q([[1, 0], [0, 11]]), Q([[3, 1], [1, 4]]), "no"),
+            (Q([[2, 1], [1, 2]]), Q([[2, -1], [-1, 2]]), "yes"),
+            (Q([[1, 0, 0], [0, -1, 0], [0, 0, 6]]), Q([[2, 0, 0], [0, -1, 0], [0, 0, 3]]),
+             "undecided"),
+            (Q([[1, 0], [0, 2]]), Q([[1, 0], [0, 3]]), "no"),
+        ]
+        for F, G, verdict in pairs:
+            assert is_isomorphic(F, G) == verdict
+        assert counts == {"_symmetric_bareiss": 2 * len(pairs), "determinant": 0}
 
     def test_high_rank_definite_undecided(self):
         rng = random.Random(99)

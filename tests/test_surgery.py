@@ -9,6 +9,7 @@ from steincheck.handle import chern_eval
 from steincheck.surgery import (
     TorusMappingClass,
     compose,
+    family_parameter,
     fp_matrix,
     normalized_form,
     stabilizes_summand,
@@ -51,6 +52,12 @@ class TestXFamily:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             x_family(-1)
+
+    def test_family_parameter_inverts_q(self):
+        for q in range(1, 60):
+            odd, even = family_parameter("odd", q), family_parameter("even", q)
+            assert (odd, even) == (2 * q - 1, 2 * q)
+            assert x_family(odd).q == x_family(even).q == q
 
     def test_family_invariants(self):
         for p in range(1, 101):
