@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 from functools import cache
 from typing import Optional, Sequence
@@ -22,7 +21,7 @@ from .handle import (
     _d3_terms,
     boundary_first_homology,
 )
-from .intlin import _clip
+from .intlin import _clip, _parse_int
 from .obstruct import (
     adjunction_lower_bound,
     certificate_csv_rows,
@@ -52,7 +51,7 @@ class CliInputError(Exception):
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise CliInputError("%s: %s" % (path, exc.strerror or exc)) from None
     except json.JSONDecodeError as exc:
@@ -72,10 +71,10 @@ def _emit_csv(rows: Sequence[Sequence[str]]) -> None:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    if not m:
-        raise CliInputError("range must look like A..B (inclusive), got %s" % _clip(repr(text)))
-    lo, hi = int(m.group(1)), int(m.group(2))
+    try:
+        lo, hi = map(_parse_int, text.split(".."))
+    except ValueError:
+        raise CliInputError("range must look like A..B (inclusive), got %s" % _clip(repr(text))) from None
     if lo > hi:
         raise CliInputError("range %s is empty" % _clip(text))
     return lo, hi
@@ -83,7 +82,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _int_arg(text: str) -> int:
     try:
-        return int(text)
+        return _parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %s" % _clip(repr(text))) from None
 
@@ -210,7 +209,7 @@ def _cmd_lemma_basis_restriction(args) -> int:
     s = member.s_class
     c = pairing(member.manifold.form, s, s)
     sols = solve_square(member.manifold.form, c)
-    matches = sols.complete and sols.as_set() == {s, (-s[0], -s[1])}
+    matches = sols.is_plus_minus(s)
     if args.output == "json":
         _emit_json(
             {

@@ -139,7 +139,7 @@ def stein_checks(L: FramedLinkPresentation) -> SteinFramingReport:
     )
 
 
-def invariants_from_link(L: FramedLinkPresentation, name: str = "") -> AlgebraicFourManifold:
+def invariants_from_link(L: FramedLinkPresentation) -> AlgebraicFourManifold:
     """Standard invariants of the 2-handlebody built on the framed link.
 
     With no 1-handles the manifold is simply connected, its intersection
@@ -156,7 +156,7 @@ def invariants_from_link(L: FramedLinkPresentation, name: str = "") -> Algebraic
         sig=fc.signature,
         simply_connected=True,
         boundary_homology_sphere=fc.unimodular,
-        name=name or "2-handlebody on %d handles" % L.n,
+        name="2-handlebody on %d handles" % L.n,
         stein=L.tb is not None and stein_checks(L).all_ok,
     )
 

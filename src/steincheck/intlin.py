@@ -482,15 +482,17 @@ def _clip(text: str) -> str:
 
 
 def _parse_int(value) -> int:
+    """The one integer reader for all input: an int that is not a bool, or ASCII
+    digits after an optional "-" (int() refuses those past the digit limit)."""
+    if isinstance(value, str):  # first: file entries are strings
+        digits = value.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+        raise ValueError("not a decimal integer string: %s" % _clip(repr(value)))
     if isinstance(value, bool):
         raise ValueError("expected an integer, got a boolean")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise ValueError("not a decimal integer string: %s" % _clip(repr(value))) from None
     raise ValueError("expected an integer or decimal string, got %s" % _clip(repr(value)))
 
 

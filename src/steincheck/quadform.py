@@ -228,6 +228,10 @@ class SquareSolutions:
     def as_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.vectors)
 
+    def is_plus_minus(self, s: tuple[int, int]) -> bool:
+        """Whether the set is provably {s, -s}: complete and nothing else."""
+        return self.complete and self.as_set() == {s, (-s[0], -s[1])}
+
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)

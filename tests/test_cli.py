@@ -96,6 +96,34 @@ class TestD3Command:
         assert "degenerate linking form" in err
 
 
+# checks each subcommand makes on parsed values, with their messages
+REJECTED_VALUES = {
+    # with a space, argparse takes "-1..3" for an option and refuses it before the check
+    ("family", "x", "--p-range=-1..3"): "family parameters must be >= 0",
+    ("lemma", "homeo", "--max-p", "0"): "--max-p must be >= 1",
+    ("lemma", "basis-restriction", "--p", "-1"): "--p must be >= 0",
+    ("genus-bound", "--parity", "odd", "--q-range", "0..3"): "q values must be positive",
+    ("certificate", "--parity", "odd", "--q-range", "0..3"): "q values must be positive",
+    ("mapping-class", "fp", "--p", "1", "--compose", "-1"): "--compose parameter must be >= 0",
+}
+
+# accepted by int() but not integers under the input policy
+MALFORMED_INTEGERS = {
+    "underscore": "1_0",
+    "spaces": " 7 ",
+    "plus": "+5",
+    "fullwidth": "\uff13",
+    "arabic-indic": "\u0663",
+    "long-fullwidth": "\uff11" * 50,
+}
+
+
+def clipped(text):
+    """repr(text) as error messages echo it: 40 characters and the length."""
+    r = repr(text)
+    return r if len(r) <= 40 else "%s... (%d characters)" % (r[:40], len(r))
+
+
 class TestInputErrors:
     def test_malformed_json_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -202,6 +230,40 @@ class TestInputErrors:
             "steincheck family x: error: argument --p: invalid int value: 'x7'"
         )
 
+    @pytest.mark.parametrize("argv", list(REJECTED_VALUES), ids=" ".join)
+    def test_out_of_range_values(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: %s\n" % REJECTED_VALUES[argv])
+
+    @pytest.mark.parametrize("name", list(MALFORMED_INTEGERS))
+    def test_malformed_integers(self, capsys, tmp_path, name):
+        text = MALFORMED_INTEGERS[name]
+        # one integer reader: -?[0-9]+ in ASCII, in JSON strings, ranges and options
+        form, link = tmp_path / "form.json", tmp_path / "link.json"
+        form.write_text(json.dumps({"gram": [[text]]}))
+        link.write_text(json.dumps({"linking": [[text]], "rot": ["0"]}))
+        for argv, message in (
+            (["form", "classify", str(form)], "not a decimal integer string: %s" % clipped(text)),
+            (["d3", str(link)], "not a decimal integer string: %s" % clipped(text)),
+            (["certificate", "--parity", "odd", "--q-range", "1.." + text],
+             "range must look like A..B (inclusive), got %s" % clipped("1.." + text)),
+        ):
+            assert invoke(capsys, *argv) == (2, "", "error: %s\n" % message)
+        code, out, err = invoke(capsys, "lemma", "basis-restriction", "--p", text)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            "steincheck lemma basis-restriction: error: argument --p: invalid int value: %s"
+            % clipped(text)
+        )
+
+    def test_json_integers_past_the_digit_limit(self, capsys, tmp_path):
+        digits = "9" * 4302
+        for entry in (digits, '"%s"' % digits):
+            path = tmp_path / "form.json"
+            path.write_text('{"gram": [[%s]]}' % entry)
+            code, out, err = invoke(capsys, "form", "classify", str(path))
+            assert code == 2 and out == "" and len(err.splitlines()) == 1 and len(err) < 200
+
 
 class TestFormCommands:
     def test_classify(self, capsys, tmp_path):
@@ -236,6 +298,9 @@ class TestFormCommands:
         assert code == 0 and out.strip() == "yes"
         code, out, _ = invoke(capsys, "form", "iso", str(a), str(c))
         assert code == 0 and out.strip() == "no"
+        for other, verdict in ((b, "yes"), (c, "no")):
+            code, out, _ = invoke(capsys, "form", "iso", str(a), str(other), "--output", "json")
+            assert code == 0 and json.loads(out) == {"verdict": verdict}
 
     def test_iso_undecided_exit_code(self, capsys, tmp_path):
         # rank-3 definite forms: diag(2, 2, 2) and B^T F B for
@@ -246,6 +311,8 @@ class TestFormCommands:
         b.write_text(json.dumps({"gram": [["2", "2", "0"], ["2", "4", "2"], ["0", "2", "4"]]}))
         code, out, _ = invoke(capsys, "form", "iso", str(a), str(b))
         assert code == 1 and out.strip() == "undecided"
+        code, out, _ = invoke(capsys, "form", "iso", str(a), str(b), "--output", "json")
+        assert code == 1 and json.loads(out) == {"verdict": "undecided"}
 
     def test_iso_decides_rank_two_definite_pairs(self, capsys, tmp_path):
         # the two classes of discriminant -44
@@ -324,6 +391,28 @@ class TestGenusBoundCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "q,p,self_intersection,c1_pairing,lower_bound"
         assert lines[1] == "1,2,-1,-3,2"
+
+    def test_json_closed_forms(self, capsys):
+        # the member p = 2q - 1 (odd) or 2q (even) has distinguished class
+        # (p^2 - q + 1, 1) with v.v = -2 or -1, c1.v = -2q or -2q - 1, and
+        # adjunction bound q or q + 1
+        for parity, shift, vv in (("odd", 0, -2), ("even", 1, -1)):
+            code, out, _ = invoke(
+                capsys, "genus-bound", "--parity", parity, "--q-range", "1..12", "--output", "json"
+            )
+            assert code == 0
+            obj = json.loads(out)
+            assert obj["parity"] == parity and len(obj["bounds"]) == 12
+            for q, row in enumerate(obj["bounds"], start=1):
+                p = 2 * q - 1 + shift
+                assert row == {
+                    "q": q,
+                    "p": p,
+                    "class": [str(p * p - q + 1), "1"],
+                    "self_intersection": str(vv),
+                    "c1_pairing": str(-2 * q - shift),
+                    "lower_bound": q + shift,
+                }
 
 
 class TestCertificateCommand:
@@ -417,6 +506,11 @@ class TestHomologyCommands:
         code, out, _ = invoke(capsys, "homology", "v-family", "--p", "6")
         assert code == 0
         assert out.strip() == "H1 = Z + Z/6"
+        for p in range(1, 8):
+            code, out, _ = invoke(capsys, "homology", "v-family", "--p", str(p), "--output", "json")
+            assert code == 0
+            factors = [str(p)] if p > 1 else []  # H1 = Z + Z/p
+            assert json.loads(out) == {"p": p, "free_rank": 1, "invariant_factors": factors}
 
     def test_v_family_invalid(self, capsys):
         assert invoke(capsys, "homology", "v-family", "--p", "0")[0] == 2

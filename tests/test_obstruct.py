@@ -236,8 +236,8 @@ class TestInfinitudeReport:
         assert cert.bounds == tuple(range(1, 11))
         assert all(cert.rigidity)
         assert cert.all_homeomorphic
-        assert cert.conclusion
-        assert cert.class_rigidity_note == CLASS_RIGIDITY_NOTE
+        assert cert.bounds_increasing and cert.conclusion
+        assert cert.to_json_obj()["class_rigidity_note"] == CLASS_RIGIDITY_NOTE
 
     def test_even_q1_to_10(self):
         cert = infinitude_report("even", range(1, 11))
