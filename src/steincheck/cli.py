@@ -456,6 +456,11 @@ _parser = cache(build_parser)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    # argparse takes "-1..3" for an option, so "--q-range -1..3" is passed on as "--q-range=-1..3"
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--p-range", "--q-range") and argv[i][:1] == "-" and ".." in argv[i]:
+            argv[i - 1] += "=" + argv.pop(i)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -3,7 +3,7 @@ isomorphism decisions, and exact solving of v.v = c on rank-2 forms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -30,6 +30,7 @@ class QuadraticForm:
 
     gram: IntMatrix
     labels: Optional[tuple[str, ...]] = None
+    _class: Optional["FormClass"] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.gram.is_symmetric:
@@ -101,6 +102,9 @@ def parity(F: QuadraticForm) -> str:
 
 
 def classify(F: QuadraticForm) -> FormClass:
+    """FormClass of F by one elimination, kept on F since gram alone determines it."""
+    if F._class is not None:
+        return F._class
     rank = F.rank
     pos, neg, zero, det = _symmetric_bareiss(F.gram.to_lists(), rank)
     if zero > 0:
@@ -111,14 +115,15 @@ def classify(F: QuadraticForm) -> FormClass:
         definiteness = "negative"
     else:
         definiteness = "indefinite"
-    return FormClass(
+    object.__setattr__(F, "_class", FormClass(
         rank=rank,
         signature=pos - neg,
         parity=parity(F),
         definiteness=definiteness,
         unimodular=not zero and abs(det) == 1,
         determinant=0 if zero else det,
-    )
+    ))
+    return F._class
 
 
 def pairing(F: QuadraticForm, u: Sequence[int], v: Sequence[int]) -> int:
@@ -132,12 +137,12 @@ def pairing(F: QuadraticForm, u: Sequence[int], v: Sequence[int]) -> int:
 def is_isomorphic(F: QuadraticForm, G: QuadraticForm) -> str:
     """Decide integral equivalence; one of "yes", "no", "undecided".
 
-    Every field of ``classify`` is a congruence invariant, so any mismatch is
-    a definitive "no".  When the classes agree and both forms are unimodular
-    and indefinite, the classification of indefinite unimodular forms by
-    (rank, signature, parity) gives a definitive "yes".  Rank-2 forms are
-    decided by reduction (_binary_equivalent); anything that remains is
-    reported as undecided rather than guessed.
+    Every field of ``classify`` is a congruence invariant, so any mismatch is a
+    definitive "no"; classify eliminates each form once and keeps its class on
+    it.  When the classes agree and both forms are unimodular and indefinite,
+    the classification of indefinite unimodular forms by (rank, signature,
+    parity) gives a definitive "yes".  Rank-2 forms are decided by reduction
+    (_binary_equivalent); anything that remains is reported as undecided.
     """
     if F.gram.entries == G.gram.entries:
         return "yes"

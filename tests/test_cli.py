@@ -98,12 +98,14 @@ class TestD3Command:
 
 # checks each subcommand makes on parsed values, with their messages
 REJECTED_VALUES = {
-    # with a space, argparse takes "-1..3" for an option and refuses it before the check
     ("family", "x", "--p-range=-1..3"): "family parameters must be >= 0",
+    ("family", "x", "--p-range", "-1..3"): "family parameters must be >= 0",
     ("lemma", "homeo", "--max-p", "0"): "--max-p must be >= 1",
     ("lemma", "basis-restriction", "--p", "-1"): "--p must be >= 0",
     ("genus-bound", "--parity", "odd", "--q-range", "0..3"): "q values must be positive",
+    ("genus-bound", "--parity", "odd", "--q-range", "-2..3"): "q values must be positive",
     ("certificate", "--parity", "odd", "--q-range", "0..3"): "q values must be positive",
+    ("certificate", "--parity", "odd", "--q-range", "-2..3"): "q values must be positive",
     ("mapping-class", "fp", "--p", "1", "--compose", "-1"): "--compose parameter must be >= 0",
 }
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from steincheck import obstruct
+from steincheck import obstruct, quadform
 from steincheck.cli import run
 from steincheck.handle import AlgebraicFourManifold
 from steincheck.intlin import IntMatrix
@@ -147,6 +147,20 @@ def decisions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The rank of every classify elimination (quadform._symmetric_bareiss call)."""
+    calls = []
+    eliminate = quadform._symmetric_bareiss
+
+    def counting(*args):
+        calls.append(args[1])
+        return eliminate(*args)
+
+    monkeypatch.setattr(quadform, "_symmetric_bareiss", counting)
+    return calls
+
+
 class TestHomeoClasses:
     @pytest.mark.parametrize("parity", ["odd", "even"])
     def test_certificate_decisions_are_linear(self, capsys, decisions, parity):
@@ -158,6 +172,18 @@ class TestHomeoClasses:
         assert run(["lemma", "homeo", "--max-p", "80", "--output", "json"]) == 0
         capsys.readouterr()
         assert 0 < len(decisions) <= 3 * 81
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_certificate_eliminates_each_member_once(self, capsys, eliminations, parity):
+        argv = ["certificate", "--parity", parity, "--q-range", "1..200", "--output", "csv"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert len(eliminations) == 200
+
+    def test_lemma_homeo_eliminates_each_member_once(self, capsys, eliminations):
+        assert run(["lemma", "homeo", "--max-p", "80", "--output", "json"]) == 0
+        capsys.readouterr()
+        assert len(eliminations) == 81
 
     def test_matches_pairwise_decisions_on_family(self):
         manifolds = [x_family(p).manifold for p in range(0, 31)]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from math import isqrt
@@ -95,6 +96,38 @@ class TestClassify:
         assert degenerate >= 20
 
 
+class TestClassKeptOnForm:
+    def test_repeated_classify_returns_the_same_object(self, monkeypatch):
+        eliminations = []
+        eliminate = quadform._symmetric_bareiss
+        monkeypatch.setattr(quadform, "_symmetric_bareiss",
+                            lambda *args: eliminations.append(args) or eliminate(*args))
+        F = family_form(4)
+        fc = classify(F)
+        assert classify(F) is fc and is_isomorphic(F, family_form(6)) == "yes"
+        assert len(eliminations) == 2
+
+    def test_form_equality_hash_repr_and_json_unchanged(self):
+        F, G = family_form(5), family_form(5)
+        before = (repr(F), hash(F), F.to_json_obj())
+        classify(F)
+        assert (repr(F), hash(F), F.to_json_obj()) == before
+        assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
+        assert "FormClass" not in repr(F) and "_class" not in F.to_json_obj()
+
+    def test_replaced_gram_gets_its_own_class(self):
+        F = family_form(1)
+        assert classify(F).parity == "even"
+        G = dataclasses.replace(F, gram=family_form(2).gram)
+        assert classify(G).parity == "odd" and classify(F).parity == "even"
+
+    def test_distinct_forms_with_equal_entries_classify_equal(self):
+        F, G = Q([[2, 1], [1, -3]]), Q([[2, 1], [1, -3]])
+        assert F is not G
+        assert classify(F) == classify(G)
+        assert classify(F) is not classify(G)
+
+
 class TestIsIsomorphic:
     def test_same_parity_family_members(self):
         assert is_isomorphic(family_form(1), family_form(3)) == "yes"
@@ -148,8 +181,9 @@ class TestIsIsomorphic:
              "undecided"),
             (Q([[1, 0], [0, 2]]), Q([[1, 0], [0, 3]]), "no"),
         ]
-        for F, G, verdict in pairs:
+        for F, G, verdict in pairs * 2:
             assert is_isomorphic(F, G) == verdict
+        # the second pass reuses the classes kept on the forms
         assert counts == {"_symmetric_bareiss": 2 * len(pairs), "determinant": 0}
 
     def test_high_rank_definite_undecided(self):
