@@ -466,6 +466,39 @@ GOLDEN_COMMANDS = {
     "certificate_even_q1_12.csv": (
         "certificate", "--parity", "even", "--q-range", "1..12", "--output", "csv"
     ),
+    "family_x_p0_3.txt": ("family", "x", "--p-range", "0..3"),
+    "family_x_p0_3.json": ("family", "x", "--p-range", "0..3", "--output", "json"),
+    "family_x_p3.json": ("family", "x", "--p", "3", "--output", "json"),
+    "genus_bound_odd_q1_6.txt": ("genus-bound", "--parity", "odd", "--q-range", "1..6"),
+    "genus_bound_odd_q1_6.json": (
+        "genus-bound", "--parity", "odd", "--q-range", "1..6", "--output", "json"
+    ),
+    "genus_bound_even_q1_6.csv": (
+        "genus-bound", "--parity", "even", "--q-range", "1..6", "--output", "csv"
+    ),
+    "lemma_basis_restriction_p4.txt": ("lemma", "basis-restriction", "--p", "4"),
+    "lemma_basis_restriction_p4.json": ("lemma", "basis-restriction", "--p", "4", "--output", "json"),
+    "mapping_class_fp_p2_c3.txt": (
+        "mapping-class", "fp", "--p", "2", "--compose", "3", "--check-stabilizes"
+    ),
+    "mapping_class_fp_p2_c3.json": (
+        "mapping-class", "fp", "--p", "2", "--compose", "3", "--check-stabilizes", "--output", "json"
+    ),
+    "homology_v_family_p6.txt": ("homology", "v-family", "--p", "6"),
+    "homology_v_family_p6.json": ("homology", "v-family", "--p", "6", "--output", "json"),
+    "homology_boundary_x_shadow.txt": ("homology", "boundary", str(FIXTURES / "x_shadow_link.json")),
+    "homology_boundary_unknot_fr-2.txt": ("homology", "boundary", str(FIXTURES / "unknot_fr-2.json")),
+    "homology_boundary_unknot_fr-2.json": (
+        "homology", "boundary", str(FIXTURES / "unknot_fr-2.json"), "--output", "json"
+    ),
+    "form_classify_x_form.txt": ("form", "classify", str(FIXTURES / "x_form.json")),
+    "form_classify_x_form.json": ("form", "classify", str(FIXTURES / "x_form.json"), "--output", "json"),
+    "form_iso_x_x2.txt": ("form", "iso", str(FIXTURES / "x_form.json"), str(FIXTURES / "x2_form.json")),
+    "form_iso_x_x2.json": (
+        "form", "iso", str(FIXTURES / "x_form.json"), str(FIXTURES / "x2_form.json"), "--output", "json"
+    ),
+    "d3_x_shadow.txt": ("d3", str(FIXTURES / "x_shadow_link.json")),
+    "d3_x_shadow.json": ("d3", str(FIXTURES / "x_shadow_link.json"), "--output", "json"),
 }
 
 
