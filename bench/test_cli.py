@@ -26,6 +26,12 @@ COMMANDS = {
     "form-iso": ["form", "iso", str(FIXTURES / "x_form.json"), str(FIXTURES / "x2_form.json")],
     "family-x": ["family", "x", "--p-range", "0..10", "--output", "json"],
     "certificate": ["certificate", "--parity", "odd", "--q-range", "1..10"],
+    "lemma-homeo": ["lemma", "homeo", "--max-p", "12"],
+    "lemma-basis-restriction": ["lemma", "basis-restriction", "--p", "40", "--output", "json"],
+    "genus-bound": ["genus-bound", "--parity", "odd", "--q-range", "1..50", "--output", "csv"],
+    "form-classify": ["form", "classify", str(FIXTURES / "x_form.json"), "--output", "json"],
+    "homology-v-family": ["homology", "v-family", "--p", "12", "--output", "json"],
+    "mapping-class-fp": ["mapping-class", "fp", "--p", "3", "--compose", "5", "--check-stabilizes"],
 }
 
 

@@ -2,18 +2,23 @@
 
 Every subcommand reads JSON files or family parameters, computes with exact
 arithmetic, and prints text, JSON (stable key order, canonical "a/b"
-rationals), or CSV.  Exit codes: 0 success / check passed, 1 computation
-succeeded but the embedded check failed, 2 input or usage error.
+rationals), or CSV.  Each handler returns its exit code and its stdout
+text; ``run`` writes that text once the handler has returned, so a command
+that fails leaves stdout empty.  Exit codes: 0 success / check passed, 1
+computation succeeded but the embedded check failed, 2 input or usage error,
+including an output integer past CPython's int/str digit limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import re
 import sys
 from functools import cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .handle import (
     D3_TORSION_WARNING,
@@ -61,13 +66,18 @@ def _load_json(path: str):
         ) from None
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_csv(rows: Sequence[Sequence[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerows(rows)
+def _csv_text(rows: Sequence[Sequence[str]]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _lines(lines: Iterable[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -115,51 +125,38 @@ def _member_text(member: LogTransformFamilyMember) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, stdout text)
 
 
-def _cmd_form_classify(args) -> int:
-    form = QuadraticForm.from_json_obj(_load_json(args.file))
-    fc = classify(form)
-    if args.output == "json":
-        _emit_json(fc.to_json_obj())
-    else:
-        print(fc.describe())
-    return 0
+def _cmd_form_classify(args) -> tuple[int, str]:
+    fc = classify(QuadraticForm.from_json_obj(_load_json(args.file)))
+    return 0, (_json_text(fc.to_json_obj()) if args.output == "json" else fc.describe() + "\n")
 
 
-def _cmd_form_iso(args) -> int:
+def _cmd_form_iso(args) -> tuple[int, str]:
     F = QuadraticForm.from_json_obj(_load_json(args.file_a))
     G = QuadraticForm.from_json_obj(_load_json(args.file_b))
     verdict = is_isomorphic(F, G)
-    if args.output == "json":
-        _emit_json({"verdict": verdict})
-    else:
-        print(verdict)
-    return 0 if verdict in ("yes", "no") else 1
+    out = _json_text({"verdict": verdict}) if args.output == "json" else verdict + "\n"
+    return (0 if verdict in ("yes", "no") else 1), out
 
 
-def _cmd_family_x(args) -> int:
+def _cmd_family_x(args) -> tuple[int, str]:
     if args.p is not None:
-        members, named = [x_family(args.p)], ("--p", args.p)
+        members = [x_family(args.p)]
     else:
         lo, hi = _parse_range(args.p_range)
         if lo < 0:
             raise CliInputError("family parameters must be >= 0")
-        members, named = [x_family(p) for p in range(lo, hi + 1)], ("--p-range", args.p_range)
-    _check_output_digits(members[-1].manifold.form.gram.entries[1][1], *named)  # -2p^2 + p - 3
-    if args.output == "json":
-        if args.p is not None:
-            _emit_json(member_json(members[0]))
-        else:
-            _emit_json({"meta": FIXTURE_NOTES, "members": [member_json(m) for m in members]})
-    else:
-        for member in members:
-            print(_member_text(member))
-    return 0
+        members = [x_family(p) for p in range(lo, hi + 1)]
+    if args.output == "text":
+        return 0, _lines(_member_text(member) for member in members)
+    if args.p is not None:
+        return 0, _json_text(member_json(members[0]))
+    return 0, _json_text({"meta": FIXTURE_NOTES, "members": [member_json(m) for m in members]})
 
 
-def _cmd_lemma_homeo(args) -> int:
+def _cmd_lemma_homeo(args) -> tuple[int, str]:
     if args.max_p < 1:
         raise CliInputError("--max-p must be >= 1")
     ps = list(range(0, args.max_p + 1))
@@ -175,43 +172,43 @@ def _cmd_lemma_homeo(args) -> int:
             match = got == expected and verdict in ("homeomorphic", "not_homeomorphic")
             all_match = all_match and match
             pairs.append({"p": p, "q": q, "homeomorphic": got, "expected": expected})
+    code = 0 if all_match else 1
     if args.output == "json":
-        _emit_json({"max_p": args.max_p, "pairs": pairs, "parity_rule_holds": all_match})
-    elif args.output == "csv":
+        return code, _json_text({"max_p": args.max_p, "pairs": pairs, "parity_rule_holds": all_match})
+    if args.output == "csv":
         rows = [["p", "q", "homeomorphic", "expected"]]
         rows += [
             [str(d["p"]), str(d["q"]), str(d["homeomorphic"]).lower(), str(d["expected"]).lower()]
             for d in pairs
         ]
-        _emit_csv(rows)
-    else:
-        names = {p: members[p].manifold.name for p in ps}
-        width = max(len(n) for n in names.values()) + 1
-        print(" " * width + " ".join(names[q].rjust(width) for q in ps))
-        for p in ps:
-            cells = []
-            for q in ps:
-                verdict = classes.verdict(p, q)
-                cells.append(("H" if verdict == "homeomorphic" else ".").rjust(width))
-            print(names[p].rjust(width) + " " + " ".join(cells))
-        print(
-            "rule check (homeomorphic iff both forms have the same parity): %s"
-            % ("PASS" if all_match else "FAIL")
-        )
-    return 0 if all_match else 1
+        return code, _csv_text(rows)
+    names = {p: members[p].manifold.name for p in ps}
+    width = max(len(n) for n in names.values()) + 1
+    lines = [" " * width + " ".join(names[q].rjust(width) for q in ps)]
+    for p in ps:
+        cells = []
+        for q in ps:
+            verdict = classes.verdict(p, q)
+            cells.append(("H" if verdict == "homeomorphic" else ".").rjust(width))
+        lines.append(names[p].rjust(width) + " " + " ".join(cells))
+    lines.append(
+        "rule check (homeomorphic iff both forms have the same parity): %s"
+        % ("PASS" if all_match else "FAIL")
+    )
+    return code, _lines(lines)
 
 
-def _cmd_lemma_basis_restriction(args) -> int:
+def _cmd_lemma_basis_restriction(args) -> tuple[int, str]:
     if args.p < 0:
         raise CliInputError("--p must be >= 0")
     member = x_family(args.p)
-    _check_output_digits(member.k, "--p", args.p)
     s = member.s_class
     c = pairing(member.manifold.form, s, s)
     sols = solve_square(member.manifold.form, c)
     matches = sols.is_plus_minus(s)
+    code = 0 if matches else 1
     if args.output == "json":
-        _emit_json(
+        return code, _json_text(
             {
                 "p": args.p,
                 "square": c,
@@ -221,19 +218,15 @@ def _cmd_lemma_basis_restriction(args) -> int:
                 "matches_distinguished_class": matches,
             }
         )
-    else:
-        print(
-            "classes of square %d on %s: %s"
-            % (c, member.manifold.name, ", ".join("(%d, %d)" % v for v in sols.vectors))
-        )
-        print(
-            "equals +-distinguished class (%s): %s"
-            % (", ".join(str(x) for x in s), "PASS" if matches else "FAIL")
-        )
-    return 0 if matches else 1
+    return code, _lines((
+        "classes of square %d on %s: %s"
+        % (c, member.manifold.name, ", ".join("(%d, %d)" % v for v in sols.vectors)),
+        "equals +-distinguished class (%s): %s"
+        % (", ".join(str(x) for x in s), "PASS" if matches else "FAIL"),
+    ))
 
 
-def _cmd_genus_bound(args) -> int:
+def _cmd_genus_bound(args) -> tuple[int, str]:
     lo, hi = _parse_range(args.q_range)
     if lo < 1:
         raise CliInputError("q values must be positive")
@@ -243,7 +236,7 @@ def _cmd_genus_bound(args) -> int:
         bound = adjunction_lower_bound(member.manifold, member.s_class)
         rows.append((q, member.p, bound))
     if args.output == "json":
-        _emit_json(
+        return 0, _json_text(
             {
                 "parity": args.parity,
                 "bounds": [
@@ -251,43 +244,41 @@ def _cmd_genus_bound(args) -> int:
                 ],
             }
         )
-    elif args.output == "csv":
+    if args.output == "csv":
         table = [["q", "p", "self_intersection", "c1_pairing", "lower_bound"]]
         table += [
             [str(q), str(p), str(b.self_intersection), str(b.c1_pairing), str(b.lower_bound)]
             for q, p, b in rows
         ]
-        _emit_csv(table)
-    else:
-        for q, p, b in rows:
-            print(
-                "q = %d (p = %d): v.v = %d, c1.v = %d, genus >= %d"
-                % (q, p, b.self_intersection, b.c1_pairing, b.lower_bound)
-            )
-    return 0
+        return 0, _csv_text(table)
+    return 0, _lines(
+        "q = %d (p = %d): v.v = %d, c1.v = %d, genus >= %d"
+        % (q, p, b.self_intersection, b.c1_pairing, b.lower_bound)
+        for q, p, b in rows
+    )
 
 
-def _cmd_certificate(args) -> int:
+def _cmd_certificate(args) -> tuple[int, str]:
     lo, hi = _parse_range(args.q_range)
     if lo < 1:
         raise CliInputError("q values must be positive")
     cert = infinitude_report(args.parity, range(lo, hi + 1))
     if args.output == "json":
-        _emit_json(cert.to_json_obj())
+        out = _json_text(cert.to_json_obj())
     elif args.output == "csv":
-        _emit_csv(certificate_csv_rows(cert))
+        out = _csv_text(certificate_csv_rows(cert))
     else:
-        print(certificate_text(cert))
-    return 0 if cert.conclusion else 1
+        out = certificate_text(cert) + "\n"
+    return (0 if cert.conclusion else 1), out
 
 
-def _cmd_d3(args) -> int:
+def _cmd_d3(args) -> tuple[int, str]:
     link = _load_link(args.file)
     value, csq, sig, det = _d3_terms(link)
     if abs(det) != 1:
         print("warning: %s" % D3_TORSION_WARNING, file=sys.stderr)
     if args.output == "json":
-        _emit_json(
+        return 0, _json_text(
             {
                 "d3": str(value),
                 "c1_square": str(csq),
@@ -296,50 +287,37 @@ def _cmd_d3(args) -> int:
                 "boundary_homology_sphere": abs(det) == 1,
             }
         )
-    else:
-        print(value)
-    return 0
+    return 0, "%s\n" % value
 
 
-def _cmd_homology_boundary(args) -> int:
-    link = _load_link(args.file)
-    group = boundary_first_homology(link)
+def _cmd_homology_boundary(args) -> tuple[int, str]:
+    group = boundary_first_homology(_load_link(args.file))
     if args.output == "json":
-        obj = group.to_json_obj()
-        obj["homology_sphere"] = group.is_trivial
-        _emit_json(obj)
-    else:
-        print(
-            "H1(boundary) = %s%s"
-            % (group, " (homology 3-sphere)" if group.is_trivial else "")
-        )
-    return 0
+        return 0, _json_text({**group.to_json_obj(), "homology_sphere": group.is_trivial})
+    return 0, "H1(boundary) = %s%s\n" % (group, " (homology 3-sphere)" if group.is_trivial else "")
 
 
-def _cmd_homology_v_family(args) -> int:
+def _cmd_homology_v_family(args) -> tuple[int, str]:
     if args.p < 1:
         raise CliInputError("--p must be >= 1")
     group = v_family_homology(args.p)
     if args.output == "json":
-        _emit_json({"p": args.p, **group.to_json_obj()})
-    else:
-        print("H1 = %s" % group)
-    return 0
+        return 0, _json_text({"p": args.p, **group.to_json_obj()})
+    return 0, "H1 = %s\n" % group
 
 
-def _cmd_mapping_class_fp(args) -> int:
+def _cmd_mapping_class_fp(args) -> tuple[int, str]:
     if args.p < 0:
         raise CliInputError("--p must be >= 0")
     f = fp_matrix(args.p)
     if args.compose_q is not None:
         if args.compose_q < 0:
             raise CliInputError("--compose parameter must be >= 0")
-        larger = ("--compose", args.compose_q) if args.compose_q > args.p else ("--p", args.p)
-        _check_output_digits(args.p + args.compose_q, *larger)  # the (3, 2) entry of f_p f_q
         f = compose(f, fp_matrix(args.compose_q))
     stab = stabilizes_summand(f)
+    code = 1 if args.check_stabilizes and not stab else 0
     if args.output == "json":
-        _emit_json(
+        return code, _json_text(
             {
                 "p": args.p,
                 "composed_with": args.compose_q,
@@ -347,13 +325,10 @@ def _cmd_mapping_class_fp(args) -> int:
                 "stabilizes_standard_summand": stab,
             }
         )
-    else:
-        print(f.matrix.pretty())
-        if args.check_stabilizes:
-            print("stabilizes Z+Z+0 summand: %s" % ("yes" if stab else "no"))
-    if args.check_stabilizes and not stab:
-        return 1
-    return 0
+    lines = [f.matrix.pretty()]
+    if args.check_stabilizes:
+        lines.append("stabilizes Z+Z+0 summand: %s" % ("yes" if stab else "no"))
+    return code, _lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -456,28 +431,27 @@ _parser = cache(build_parser)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    # argparse takes "-1..3" for an option, so "--q-range -1..3" is passed on as "--q-range=-1..3"
+    # argparse takes "-1..3" for an option, so "--q-range -1..3" (or any spelling
+    # of an option without "=") is passed on as "--q-range=-1..3"
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--p-range", "--q-range") and argv[i][:1] == "-" and ".." in argv[i]:
+        if argv[i][:1] == "-" and ".." in argv[i] and re.fullmatch(r"--[^=]+", argv[i - 1]):
             argv[i - 1] += "=" + argv.pop(i)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code, out = args.func(args)
     except (CliInputError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        message = str(exc)
+        if "integer string conversion;" in message:  # CPython's int-to-str digit limit
+            limit = sys.get_int_max_str_digits()
+            message = "the output would print an integer of more than %d digits" % limit
+        print("error: %s" % message, file=sys.stderr)
         return 2
-
-
-def _check_output_digits(largest: int, option: str, value) -> None:
-    """Name the option whose value makes an output integer pass the int-to-str digit limit."""
-    limit = sys.get_int_max_str_digits()
-    if limit and abs(largest).bit_length() > 3 * limit and abs(largest) >= 10 ** limit:
-        raise CliInputError("%s %s is too large: the output would print an integer of more "
-                            "than %d digits" % (option, _clip(str(value)), limit))
+    sys.stdout.write(out)
+    return code
 
 
 def main() -> None:

@@ -7,6 +7,7 @@ are immutable, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,10 +48,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
@@ -437,12 +434,6 @@ def inertia(A: IntMatrix) -> tuple[int, int, int]:
     return _symmetric_bareiss(A.to_lists(), A.rows)[:3]
 
 
-def signature(A: IntMatrix) -> int:
-    """Signature (positive minus negative inertia) of a symmetric matrix."""
-    pos, neg, _ = inertia(A)
-    return pos - neg
-
-
 def rational_solve(A: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
     """Exact solution of A x = b over Q for square nonsingular A.  Bareiss on [A | b]
     pivots in A's columns only (a nonsingular A in column k at step k) and ends at
@@ -483,12 +474,17 @@ def _clip(text: str) -> str:
 
 def _parse_int(value) -> int:
     """The one integer reader for all input: an int that is not a bool, or ASCII
-    digits after an optional "-" (int() refuses those past the digit limit)."""
+    digits after an optional "-", no more of them than sys.get_int_max_str_digits()
+    (CPython's message for more is replaced by a clipped one)."""
     if isinstance(value, str):  # first: file entries are strings
         digits = value.removeprefix("-")
-        if digits.isascii() and digits.isdigit():
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError("not a decimal integer string: %s" % _clip(repr(value)))
+        try:
             return int(value)
-        raise ValueError("not a decimal integer string: %s" % _clip(repr(value)))
+        except ValueError:  # valid digits, so int() refused them for the digit limit
+            raise ValueError("integer string of more than %d digits: %s"
+                             % (sys.get_int_max_str_digits(), _clip(repr(value)))) from None
     if isinstance(value, bool):
         raise ValueError("expected an integer, got a boolean")
     if isinstance(value, int):

@@ -66,7 +66,7 @@ class TestD3Command:
         import steincheck.intlin as intlin
 
         counts = dict.fromkeys(
-            ("_symmetric_bareiss", "_solve_det", "signature", "determinant", "rational_solve"), 0
+            ("_symmetric_bareiss", "_solve_det", "determinant", "rational_solve"), 0
         )
         for module in (handle, intlin):
             for name in counts:
@@ -83,7 +83,6 @@ class TestD3Command:
         assert counts == {
             "_symmetric_bareiss": 1,
             "_solve_det": 0,
-            "signature": 0,
             "determinant": 0,
             "rational_solve": 0,
         }
@@ -106,7 +105,32 @@ REJECTED_VALUES = {
     ("genus-bound", "--parity", "odd", "--q-range", "-2..3"): "q values must be positive",
     ("certificate", "--parity", "odd", "--q-range", "0..3"): "q values must be positive",
     ("certificate", "--parity", "odd", "--q-range", "-2..3"): "q values must be positive",
+    ("family", "x", "--p-r", "-1..3"): "family parameters must be >= 0",
+    ("genus-bound", "--parity", "odd", "--q", "-2..3"): "q values must be positive",
+    ("certificate", "--parity", "odd", "--q-ran", "-2..3"): "q values must be positive",
     ("mapping-class", "fp", "--p", "1", "--compose", "-1"): "--compose parameter must be >= 0",
+}
+
+# commands whose output would print an integer past CPython's 4,300-digit limit,
+# with the output formats to try: family x prints -2p^2 + p - 3, basis-restriction
+# p^2 - q + 1, mapping-class fp P + Q, genus-bound and certificate 2q or 2q - 1
+NINES = "9" * 4300
+LINK = object()  # stands for a link file with 2,000-digit framings
+PAST_THE_DIGIT_LIMIT = {
+    "family x --p": (["family", "x", "--p", "8" + "0" * 2149], ("text", "json")),
+    "family x --p-range": (["family", "x", "--p-range", "8%s..8%s" % ("0" * 2149, "0" * 2149)],
+                           ("text", "json")),
+    "lemma basis-restriction": (["lemma", "basis-restriction", "--p", "4" + "0" * 2150],
+                                ("text", "json")),
+    "mapping-class fp --compose": (["mapping-class", "fp", "--p", "1", "--compose", NINES],
+                                   ("text", "json")),
+    "mapping-class fp --p --compose": (["mapping-class", "fp", "--p", NINES, "--compose", NINES],
+                                       ("text", "json")),
+    "genus-bound": (["genus-bound", "--parity", "odd", "--q-range",
+                     "4%s..5%s" % ("9" * 4299, "0" * 4299)], ("text", "json", "csv")),
+    "certificate": (["certificate", "--parity", "even", "--q-range", "%s..%s" % (NINES, NINES)],
+                    ("text", "json", "csv")),
+    "homology boundary": (["homology", "boundary", LINK], ("text", "json")),
 }
 
 # accepted by int() but not integers under the input policy
@@ -182,48 +206,33 @@ class TestInputErrors:
             assert code == 2 and message.endswith("... (4304 characters)")
             assert len(message) <= 100
 
-    def test_values_whose_output_passes_the_digit_limit(self, capsys):
-        # family x prints -2p^2 + p - 3 and basis-restriction p^2 - q + 1,
-        # past 4,300 digits from p = 8*10^2149 and p = 4*10^2150 respectively
-        fits, family_too_big, both_too_big = ("%d" % d + "0" * e for d, e in
-                                              ((4, 2149), (8, 2149), (4, 2150)))
-        for argv, ok in (
-            (["family", "x", "--p", fits], True),
-            (["family", "x", "--p", family_too_big], False),
-            (["family", "x", "--p-range", "%s..%s" % (family_too_big, family_too_big)], False),
-            (["lemma", "basis-restriction", "--p", family_too_big], True),
-            (["lemma", "basis-restriction", "--p", both_too_big], False),
-        ):
-            for output in ("text", "json"):
-                code, out, err = invoke(capsys, *argv, "--output", output)
-                if ok:
-                    assert code in (0, 1) and out and not err
-                    continue
-                assert code == 2 and not out
-                option, value = argv[-2:]
-                assert err == (
-                    "error: %s %s... (%d characters) is too large: the output would print "
-                    "an integer of more than 4300 digits\n" % (option, value[:40], len(value))
-                )
+    @pytest.mark.parametrize("name", list(PAST_THE_DIGIT_LIMIT))
+    def test_output_past_the_digit_limit(self, capsys, tmp_path, name):
+        argv, outputs = PAST_THE_DIGIT_LIMIT[name]
+        link = tmp_path / "link.json"
+        f = "1" + "0" * 1999  # det of this 3x3 linking matrix has about 6,000 digits
+        link.write_text(json.dumps({"linking": [[f, "1", "0"], ["1", f, "1"], ["0", "1", f]],
+                                    "rot": ["0"] * 3, "tb": None}))
+        for output in outputs:
+            result = invoke(capsys, *(str(link) if a == LINK else a for a in argv),
+                            "--output", output)
+            assert result == (
+                2, "", "error: the output would print an integer of more than 4300 digits\n"
+            )
 
-    def test_composed_mapping_class_past_the_digit_limit(self, capsys):
-        # f_P f_Q prints P + Q; the message names the larger option, --p on a tie
-        nines = "9" * 4300
-        for p, q, option, value in (
-            (nines, nines, "--p", nines),
-            ("1", nines, "--compose", nines),
-            (nines, "1", "--p", nines),
+    def test_output_at_the_digit_limit_still_prints(self, capsys):
+        # each largest printed integer has 4,300 digits: -2p^2 + p - 3, p^2 - q + 1,
+        # P + Q, and 2q with p = 2q - 1 (genus-bound json would print p^2)
+        q = "4" + "9" * 4299
+        for argv, outputs in (
+            (["family", "x", "--p", "4" + "0" * 2149], ("text", "json")),
+            (["lemma", "basis-restriction", "--p", "8" + "0" * 2149], ("text", "json")),
+            (["mapping-class", "fp", "--p", NINES, "--compose", "0"], ("text", "json")),
+            (["genus-bound", "--parity", "odd", "--q-range", "%s..%s" % (q, q)], ("text",)),
         ):
-            for output in ("text", "json"):
-                code, out, err = invoke(capsys, "mapping-class", "fp", "--p", p, "--compose", q,
-                                        "--output", output)
-                assert code == 2 and not out
-                assert err == (
-                    "error: %s %s... (4300 characters) is too large: the output would print "
-                    "an integer of more than 4300 digits\n" % (option, value[:40])
-                )
-        code, out, _ = invoke(capsys, "mapping-class", "fp", "--p", nines, "--compose", "0")
-        assert code == 0 and nines in out
+            for output in outputs:
+                code, out, err = invoke(capsys, *argv, "--output", output)
+                assert code in (0, 1) and out and not err
 
     def test_int_option_errors_read_as_argparse_wrote_them(self, capsys):
         code, _, err = invoke(capsys, "family", "x", "--p", "x7")
@@ -263,8 +272,9 @@ class TestInputErrors:
         for entry in (digits, '"%s"' % digits):
             path = tmp_path / "form.json"
             path.write_text('{"gram": [[%s]]}' % entry)
-            code, out, err = invoke(capsys, "form", "classify", str(path))
-            assert code == 2 and out == "" and len(err.splitlines()) == 1 and len(err) < 200
+            assert invoke(capsys, "form", "classify", str(path)) == (
+                2, "", "error: integer string of more than 4300 digits: %s\n" % clipped(digits)
+            )
 
 
 class TestFormCommands:
