@@ -138,7 +138,7 @@ def iso_pairs(kind: str) -> list[tuple[QuadraticForm, QuadraticForm]]:
                 pairs.append((QuadraticForm(F), QuadraticForm(G)))
     else:
         for d in range(2, 52):
-            F = IntMatrix.diagonal([1, -1, d])
+            F = IntMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, d]])
             pairs.append((QuadraticForm(F), QuadraticForm(congruence_transform(F, unimodular(rng, 3)))))
     return pairs
 

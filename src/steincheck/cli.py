@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from functools import cache
 from typing import Iterable, Optional, Sequence
@@ -80,21 +79,23 @@ def _lines(lines: Iterable[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = map(_parse_int, text.split(".."))
-    except ValueError:
-        raise CliInputError("range must look like A..B (inclusive), got %s" % _clip(repr(text))) from None
+def _parse_range(text: str) -> range:
+    """The inclusive range A..B; each bound is read by _parse_int, whose
+    errors pass through."""
+    bounds = text.split("..")
+    if len(bounds) != 2:
+        raise CliInputError("range must look like A..B (inclusive), got %s" % _clip(repr(text)))
+    lo, hi = map(_parse_int, bounds)
     if lo > hi:
         raise CliInputError("range %s is empty" % _clip(text))
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 def _int_arg(text: str) -> int:
     try:
         return _parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %s" % _clip(repr(text))) from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_link(path: str) -> FramedLinkPresentation:
@@ -145,10 +146,7 @@ def _cmd_family_x(args) -> tuple[int, str]:
     if args.p is not None:
         members = [x_family(args.p)]
     else:
-        lo, hi = _parse_range(args.p_range)
-        if lo < 0:
-            raise CliInputError("family parameters must be >= 0")
-        members = [x_family(p) for p in range(lo, hi + 1)]
+        members = [x_family(p) for p in _parse_range(args.p_range)]
     if args.output == "text":
         return 0, _lines(_member_text(member) for member in members)
     if args.p is not None:
@@ -159,18 +157,19 @@ def _cmd_family_x(args) -> tuple[int, str]:
 def _cmd_lemma_homeo(args) -> tuple[int, str]:
     if args.max_p < 1:
         raise CliInputError("--max-p must be >= 1")
-    ps = list(range(0, args.max_p + 1))
+    ps = range(args.max_p + 1)
     members = [x_family(p) for p in ps]
     classes = homeo_classes([m.manifold for m in members])
+    # one verdict per pair p <= q fills the symmetric table
+    table = [[""] * len(ps) for _ in ps]
     pairs = []
     all_match = True
     for p in ps:
         for q in ps[p:]:
-            verdict = classes.verdict(p, q)
+            verdict = table[p][q] = table[q][p] = classes.verdict(p, q)
             expected = _has_even_form(p) == _has_even_form(q)
             got = verdict == "homeomorphic"
-            match = got == expected and verdict in ("homeomorphic", "not_homeomorphic")
-            all_match = all_match and match
+            all_match = all_match and got == expected and verdict != "inapplicable"
             pairs.append({"p": p, "q": q, "homeomorphic": got, "expected": expected})
     code = 0 if all_match else 1
     if args.output == "json":
@@ -185,12 +184,10 @@ def _cmd_lemma_homeo(args) -> tuple[int, str]:
     names = {p: members[p].manifold.name for p in ps}
     width = max(len(n) for n in names.values()) + 1
     lines = [" " * width + " ".join(names[q].rjust(width) for q in ps)]
+    mark = {"homeomorphic": "H".rjust(width)}
     for p in ps:
-        cells = []
-        for q in ps:
-            verdict = classes.verdict(p, q)
-            cells.append(("H" if verdict == "homeomorphic" else ".").rjust(width))
-        lines.append(names[p].rjust(width) + " " + " ".join(cells))
+        cells = " ".join(mark.get(verdict, ".".rjust(width)) for verdict in table[p])
+        lines.append(names[p].rjust(width) + " " + cells)
     lines.append(
         "rule check (homeomorphic iff both forms have the same parity): %s"
         % ("PASS" if all_match else "FAIL")
@@ -199,8 +196,6 @@ def _cmd_lemma_homeo(args) -> tuple[int, str]:
 
 
 def _cmd_lemma_basis_restriction(args) -> tuple[int, str]:
-    if args.p < 0:
-        raise CliInputError("--p must be >= 0")
     member = x_family(args.p)
     s = member.s_class
     c = pairing(member.manifold.form, s, s)
@@ -227,11 +222,8 @@ def _cmd_lemma_basis_restriction(args) -> tuple[int, str]:
 
 
 def _cmd_genus_bound(args) -> tuple[int, str]:
-    lo, hi = _parse_range(args.q_range)
-    if lo < 1:
-        raise CliInputError("q values must be positive")
     rows = []
-    for q in range(lo, hi + 1):
+    for q in _parse_range(args.q_range):
         member = x_family(family_parameter(args.parity, q))
         bound = adjunction_lower_bound(member.manifold, member.s_class)
         rows.append((q, member.p, bound))
@@ -259,10 +251,7 @@ def _cmd_genus_bound(args) -> tuple[int, str]:
 
 
 def _cmd_certificate(args) -> tuple[int, str]:
-    lo, hi = _parse_range(args.q_range)
-    if lo < 1:
-        raise CliInputError("q values must be positive")
-    cert = infinitude_report(args.parity, range(lo, hi + 1))
+    cert = infinitude_report(args.parity, _parse_range(args.q_range))
     if args.output == "json":
         out = _json_text(cert.to_json_obj())
     elif args.output == "csv":
@@ -298,8 +287,6 @@ def _cmd_homology_boundary(args) -> tuple[int, str]:
 
 
 def _cmd_homology_v_family(args) -> tuple[int, str]:
-    if args.p < 1:
-        raise CliInputError("--p must be >= 1")
     group = v_family_homology(args.p)
     if args.output == "json":
         return 0, _json_text({"p": args.p, **group.to_json_obj()})
@@ -307,12 +294,8 @@ def _cmd_homology_v_family(args) -> tuple[int, str]:
 
 
 def _cmd_mapping_class_fp(args) -> tuple[int, str]:
-    if args.p < 0:
-        raise CliInputError("--p must be >= 0")
     f = fp_matrix(args.p)
     if args.compose_q is not None:
-        if args.compose_q < 0:
-            raise CliInputError("--compose parameter must be >= 0")
         f = compose(f, fp_matrix(args.compose_q))
     stab = stabilizes_summand(f)
     code = 1 if args.check_stabilizes and not stab else 0
@@ -435,7 +418,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     # of an option without "=") is passed on as "--q-range=-1..3"
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i][:1] == "-" and ".." in argv[i] and re.fullmatch(r"--[^=]+", argv[i - 1]):
+        option, value = argv[i - 1], argv[i]
+        # "--" alone ends the options, so it takes no value
+        long_option = option.startswith("--") and len(option) > 2 and "=" not in option
+        if long_option and value.startswith("-") and ".." in value:
             argv[i - 1] += "=" + argv.pop(i)
     try:
         args = _parser().parse_args(argv)

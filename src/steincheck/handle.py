@@ -82,6 +82,9 @@ class AlgebraicFourManifold:
     ``c1`` is the evaluation vector of the first Chern class on the chosen
     basis of the intersection form.  ``stein`` records, as fixture metadata,
     that the manifold carries a Stein structure compatible with ``c1``.
+    ``euler``, ``sig`` and ``boundary_homology_sphere`` are stored output
+    data that no decision reads: homeo_decide takes the boundary hypothesis
+    from the form, which determines all three.
     """
 
     form: QuadraticForm

@@ -49,13 +49,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        n = len(diag)
-        return cls.from_rows(
-            [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -86,11 +79,6 @@ class IntMatrix:
                 for i in range(self.rows)
             ),
         )
-
-    def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match matrix columns")
-        return tuple(sum(row[k] * v[k] for k in range(self.cols)) for row in self.entries)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

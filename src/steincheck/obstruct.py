@@ -6,7 +6,7 @@ infinitely many smooth structures in one homeomorphism type."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .handle import AlgebraicFourManifold, chern_eval
 from .quadform import classify, is_isomorphic, pairing, solve_square
@@ -96,14 +96,17 @@ def adjunction_lower_bound(M: AlgebraicFourManifold, v: Sequence[int]) -> GenusB
 
 
 def _hypotheses_hold(M: AlgebraicFourManifold) -> bool:
-    return M.simply_connected and M.boundary_homology_sphere
+    # for a simply connected M, H1(boundary) = coker Q: a homology sphere iff |det Q| = 1
+    return M.simply_connected and classify(M.form).unimodular
 
 
 def homeo_decide(M: AlgebraicFourManifold, N: AlgebraicFourManifold) -> str:
     """Homeomorphism decision for simply connected 4-manifolds whose
     boundaries are homology spheres, by the topological classification via
     intersection forms (Freedman); one of "homeomorphic",
-    "not_homeomorphic", "inapplicable"."""
+    "not_homeomorphic", "inapplicable".  The boundary hypothesis is read
+    from the form (unimodular), not from the stored
+    ``boundary_homology_sphere`` flag."""
     if not (_hypotheses_hold(M) and _hypotheses_hold(N)):
         return "inapplicable"
     verdict = is_isomorphic(M.form, N.form)
@@ -119,8 +122,10 @@ class HomeoClasses:
     """A list of manifolds split into homeomorphism classes.
 
     ``class_of[i]`` is the class of the i-th manifold, ``representatives[c]``
-    the first manifold of class c, and ``between[c, d]`` (c > d) the
-    homeo_decide verdict of the two representatives.
+    the first manifold of class c, and ``between[c, d]`` the verdict
+    between the two representatives: for c = d "homeomorphic", or
+    "inapplicable" when the representative fails the hypotheses (such a
+    class has no other member), and otherwise their homeo_decide verdict.
     """
 
     class_of: tuple[int, ...]
@@ -128,18 +133,10 @@ class HomeoClasses:
     between: dict[tuple[int, int], str]
 
     def verdict(self, i: int, j: int) -> str:
-        """The verdict for the i-th and j-th manifolds, read off the classes.
-
-        Within a class it is "homeomorphic", or "inapplicable" when the
-        representative fails the hypotheses (such a class has no other
-        member); across classes it is the representatives' verdict, which
-        transitivity carries over to every member.
-        """
-        c, d = self.class_of[i], self.class_of[j]
-        if c == d:
-            rep = self.representatives[c]
-            return "homeomorphic" if _hypotheses_hold(rep) else "inapplicable"
-        return self.between[max(c, d), min(c, d)]
+        """The verdict for the i-th and j-th manifolds, read off their
+        classes; transitivity carries a representatives' verdict over to
+        every member."""
+        return self.between[self.class_of[i], self.class_of[j]]
 
 
 def homeo_classes(manifolds: Sequence[AlgebraicFourManifold]) -> HomeoClasses:
@@ -164,7 +161,9 @@ def homeo_classes(manifolds: Sequence[AlgebraicFourManifold]) -> HomeoClasses:
             verdicts.append(verdict)
         else:
             new = len(representatives)
-            between.update(((new, c), v) for c, v in enumerate(verdicts))
+            for c, v in enumerate(verdicts):
+                between[new, c] = between[c, new] = v
+            between[new, new] = "homeomorphic" if _hypotheses_hold(M) else "inapplicable"
             class_of.append(new)
             representatives.append(M)
     return HomeoClasses(tuple(class_of), tuple(representatives), between)
@@ -179,7 +178,7 @@ def class_rigidity(member: LogTransformFamilyMember) -> bool:
     return solve_square(member.manifold.form, c).is_plus_minus(s)
 
 
-def infinitude_report(parity: str, q_range: Sequence[int]) -> InfinitudeCertificate:
+def infinitude_report(parity: str, q_range: Iterable[int]) -> InfinitudeCertificate:
     """Build and check the infinitude certificate for one parity family.
 
     For each q the member has parameter p = 2q - 1 (odd family) or 2q (even
@@ -187,17 +186,13 @@ def infinitude_report(parity: str, q_range: Sequence[int]) -> InfinitudeCertific
     argument: pairwise homeomorphism, class rigidity, and strictly
     increasing genus lower bounds on the distinguished classes.
     """
-    if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
-    qs = list(q_range)
-    if not qs:
+    # family_parameter checks parity and each q as the members are built, so
+    # the first bad q raises before the rest of q_range is read
+    members = [x_family(family_parameter(parity, q)) for q in q_range]
+    if not members:
         raise ValueError("q_range must be nonempty")
-    if any(q < 1 for q in qs):
-        raise ValueError("q_range entries must be positive integers")
-    if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
+    if any(a.p >= b.p for a, b in zip(members, members[1:])):
         raise ValueError("q_range must be strictly increasing")
-
-    members = [x_family(family_parameter(parity, q)) for q in qs]
     bounds = [adjunction_lower_bound(m.manifold, m.s_class).lower_bound for m in members]
     rigidity = [class_rigidity(m) for m in members]
     classes = homeo_classes([m.manifold for m in members])

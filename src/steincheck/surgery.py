@@ -60,7 +60,7 @@ def x_family(p: int) -> LogTransformFamilyMember:
     """The family member with log-transform parameter p >= 1, or the
     untransformed manifold under the p = 0 convention."""
     if p < 0:
-        raise ValueError("family parameter must be >= 1 (0 denotes the untransformed manifold)")
+        raise ValueError("family parameters must be >= 0")
     if p == 0:
         form = QuadraticForm.from_rows([[0, 1], [1, -2]], labels=("T", "S"))
         c1 = (0, 0)
@@ -89,7 +89,12 @@ def x_family(p: int) -> LogTransformFamilyMember:
 
 
 def family_parameter(parity: str, q: int) -> int:
-    """p of the q-th member of the odd (p = 2q - 1) or even (p = 2q) family."""
+    """p of the q-th member of the odd (p = 2q - 1) or even (p = 2q) family;
+    the one check of the parity name and of q >= 1."""
+    if parity not in ("odd", "even"):
+        raise ValueError("parity must be 'odd' or 'even'")
+    if q < 1:
+        raise ValueError("q values must be positive")
     return 2 * q - 1 if parity == "odd" else 2 * q
 
 
@@ -164,19 +169,14 @@ def compose(f: TorusMappingClass, g: TorusMappingClass) -> TorusMappingClass:
     return TorusMappingClass(f.matrix @ g.matrix)
 
 
-def stabilizes_summand(f: TorusMappingClass | IntMatrix) -> bool:
+def stabilizes_summand(f: TorusMappingClass) -> bool:
     """Whether the action maps the sublattice {(x, y, 0)} into itself.
 
     Under the right action v -> v M this asks that rows 1 and 2 have zero
     third coordinate.  A mapping class with this property is isotopic to a
     contactomorphism of the standard tight 3-torus (Eliashberg-Polterovich).
-    A raw 3x3 matrix is also accepted, so the criterion can be probed on
-    H1 actions that are not orientation-preserving.
     """
-    m = f.matrix if isinstance(f, TorusMappingClass) else f
-    if not (m.rows == 3 and m.cols == 3):
-        raise ValueError("summand check requires a 3x3 matrix")
-    e = m.entries
+    e = f.matrix.entries
     return e[0][2] == 0 and e[1][2] == 0
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,12 +96,17 @@ class TestD3Command:
         assert "degenerate linking form" in err
 
 
-# checks each subcommand makes on parsed values, with their messages
+# parsed values outside a parameter's domain, with the message of the one function
+# that checks it (x_family, family_parameter, fp_matrix, v_family_homology, or the
+# --max-p check, the one left in cli)
 REJECTED_VALUES = {
     ("family", "x", "--p-range=-1..3"): "family parameters must be >= 0",
     ("family", "x", "--p-range", "-1..3"): "family parameters must be >= 0",
     ("lemma", "homeo", "--max-p", "0"): "--max-p must be >= 1",
-    ("lemma", "basis-restriction", "--p", "-1"): "--p must be >= 0",
+    ("family", "x", "--p", "-1"): "family parameters must be >= 0",
+    ("lemma", "basis-restriction", "--p", "-1"): "family parameters must be >= 0",
+    ("homology", "v-family", "--p", "0"): "family parameter must be a positive integer",
+    ("mapping-class", "fp", "--p", "-1"): "mapping-class parameter must be a nonnegative integer",
     ("genus-bound", "--parity", "odd", "--q-range", "0..3"): "q values must be positive",
     ("genus-bound", "--parity", "odd", "--q-range", "-2..3"): "q values must be positive",
     ("certificate", "--parity", "odd", "--q-range", "0..3"): "q values must be positive",
@@ -108,7 +114,8 @@ REJECTED_VALUES = {
     ("family", "x", "--p-r", "-1..3"): "family parameters must be >= 0",
     ("genus-bound", "--parity", "odd", "--q", "-2..3"): "q values must be positive",
     ("certificate", "--parity", "odd", "--q-ran", "-2..3"): "q values must be positive",
-    ("mapping-class", "fp", "--p", "1", "--compose", "-1"): "--compose parameter must be >= 0",
+    ("mapping-class", "fp", "--p", "1", "--compose", "-1"):
+        "mapping-class parameter must be a nonnegative integer",
 }
 
 # commands whose output would print an integer past CPython's 4,300-digit limit,
@@ -201,10 +208,12 @@ class TestInputErrors:
             ["homology", "v-family", "--p", digits],
             ["mapping-class", "fp", "--p", "1", "--compose", digits],
         ):
-            code, _, err = invoke(capsys, *argv)
-            message = err.splitlines()[-1].split(" error: ", 1)[1]
-            assert code == 2 and message.endswith("... (4304 characters)")
-            assert len(message) <= 100
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == (
+                "steincheck %s %s: error: argument %s: integer string of more than 4300 digits: %s"
+                % (argv[0], argv[1], argv[-2], clipped(digits))
+            )
 
     @pytest.mark.parametrize("name", list(PAST_THE_DIGIT_LIMIT))
     def test_output_past_the_digit_limit(self, capsys, tmp_path, name):
@@ -238,7 +247,7 @@ class TestInputErrors:
         code, _, err = invoke(capsys, "family", "x", "--p", "x7")
         assert code == 2
         assert err.splitlines()[-1] == (
-            "steincheck family x: error: argument --p: invalid int value: 'x7'"
+            "steincheck family x: error: argument --p: not a decimal integer string: 'x7'"
         )
 
     @pytest.mark.parametrize("argv", list(REJECTED_VALUES), ids=" ".join)
@@ -257,15 +266,36 @@ class TestInputErrors:
             (["form", "classify", str(form)], "not a decimal integer string: %s" % clipped(text)),
             (["d3", str(link)], "not a decimal integer string: %s" % clipped(text)),
             (["certificate", "--parity", "odd", "--q-range", "1.." + text],
-             "range must look like A..B (inclusive), got %s" % clipped("1.." + text)),
+             "not a decimal integer string: %s" % clipped(text)),
         ):
             assert invoke(capsys, *argv) == (2, "", "error: %s\n" % message)
         code, out, err = invoke(capsys, "lemma", "basis-restriction", "--p", text)
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == (
-            "steincheck lemma basis-restriction: error: argument --p: invalid int value: %s"
-            % clipped(text)
+            "steincheck lemma basis-restriction: error: argument --p: "
+            "not a decimal integer string: %s" % clipped(text)
         )
+
+    def test_range_bounds_past_the_digit_limit(self, capsys):
+        # the integer reader's own message, as for options and file entries
+        digits = "9" * 4301
+        message = "integer string of more than 4300 digits: %s" % clipped(digits)
+        for argv in (["certificate", "--parity", "odd", "--q-range", "1..%s" % digits],
+                     ["genus-bound", "--parity", "even", "--q-range", "%s..%s" % (digits, digits)],
+                     ["family", "x", "--p-range", "0..%s" % digits]):
+            assert invoke(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv", [
+        ["certificate", "--parity", "odd", "--q-range", "-5..1000000000000"],
+        ["genus-bound", "--parity", "even", "--q-range", "0..1000000000000"],
+        ["family", "x", "--p-range", "-1..1000000000000"],
+    ], ids=lambda argv: argv[0])
+    def test_first_bound_outside_the_domain_fails_at_once(self, capsys, argv):
+        # the first member's check raises before any other member is built
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert time.perf_counter() - start < 1
 
     def test_json_integers_past_the_digit_limit(self, capsys, tmp_path):
         digits = "9" * 4302

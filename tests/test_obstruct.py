@@ -107,13 +107,24 @@ class TestHomeoDecide:
         assert homeo_decide(m, n) == "inapplicable"
 
     def test_inapplicable_without_homology_sphere_boundary(self):
+        # det 4: H1 of the boundary is coker Q = Z/4
         m = x_family(1).manifold
-        n = dataclasses.replace(m, boundary_homology_sphere=False)
-        assert homeo_decide(m, n) == "inapplicable"
+        n = dataclasses.replace(m, form=QuadraticForm.from_rows([[0, 2], [2, -2]]))
+        assert homeo_decide(m, n) == homeo_decide(n, n) == "inapplicable"
+
+    def test_boundary_hypothesis_is_read_from_the_form(self):
+        # det 3 forms stored with boundary_homology_sphere=True: the flag is
+        # not a fact about them, so Freedman's classification does not apply
+        a = synthetic_manifold([[2, 1], [1, 2]])
+        b = synthetic_manifold([[2, -1], [-1, 2]])
+        assert a.boundary_homology_sphere and b.boundary_homology_sphere
+        assert homeo_decide(a, b) == "inapplicable"
+        classes = homeo_classes([a, b])
+        assert classes.verdict(0, 1) == classes.verdict(0, 0) == "inapplicable"
 
     def test_inapplicable_when_forms_undecided(self):
         rng = random.Random(5)
-        gram = IntMatrix.diagonal([1, 1, 1])
+        gram = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         B = IntMatrix.from_rows(random_unimodular_matrix(rng, 3))
         other = B.transpose() @ gram @ B
         assert other.entries != gram.entries
@@ -204,17 +215,17 @@ class TestHomeoClasses:
         assert classes.verdict(0, 2) == "homeomorphic"
 
     def test_undecided_forms_stay_apart(self):
-        # x^2 + 6y^2 and 2x^2 + 3y^2 share rank, signature, parity and
-        # determinant, and reduction tells them apart
+        # x^2 + 6y^2 and 2x^2 + 3y^2 have det 6, so the boundary is no
+        # homology sphere and each form keeps a class of its own
         a = synthetic_manifold([[1, 0], [0, 6]])
         b = synthetic_manifold([[2, 0], [0, 3]])
         classes = homeo_classes([a, b])
         assert classes.class_of == (0, 1)
-        assert classes.verdict(0, 1) == classes.verdict(1, 0) == "not_homeomorphic"
-        # rank-3 definite forms stay undecided, so their classes stay apart
-        # with an inapplicable verdict between them
-        c = synthetic_manifold([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-        d = synthetic_manifold([[2, 2, 0], [2, 4, 2], [0, 2, 4]])
+        assert classes.verdict(0, 1) == classes.verdict(1, 0) == "inapplicable"
+        # unimodular rank-3 definite forms stay undecided, so their classes
+        # stay apart with an inapplicable verdict between them
+        c = synthetic_manifold([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        d = synthetic_manifold([[1, 1, 0], [1, 2, 1], [0, 1, 2]])
         classes = homeo_classes([c, d])
         assert classes.class_of == (0, 1)
         assert classes.verdict(0, 1) == classes.verdict(1, 0) == "inapplicable"
@@ -285,6 +296,14 @@ class TestInfinitudeReport:
             infinitude_report("odd", [0, 1])
         with pytest.raises(ValueError):
             infinitude_report("spin", [1, 2])
+
+    def test_first_bad_q_raises_before_the_rest_is_read(self):
+        def qs():
+            yield 0
+            raise AssertionError("q_range read past its first value")
+
+        with pytest.raises(ValueError, match="^q values must be positive$"):
+            infinitude_report("odd", qs())
 
     def test_conclusion_monotone_under_contiguous_subranges(self):
         qs = list(range(1, 11))

@@ -188,7 +188,7 @@ class TestIsIsomorphic:
 
     def test_high_rank_definite_undecided(self):
         rng = random.Random(99)
-        F = QuadraticForm(IntMatrix.diagonal([2, 2, 2]))
+        F = QuadraticForm.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         B = IntMatrix.from_rows(random_unimodular_matrix(rng, 3))
         G = QuadraticForm(congruence_transform(F.gram, B))
         verdict = is_isomorphic(F, G)

@@ -38,7 +38,7 @@ def test_parse_int_accepts_exactly_ascii_decimal_strings(text):
 @given(st.integers(), st.integers())
 def test_parse_range_round_trips(a, b):
     lo, hi = min(a, b), max(a, b)
-    assert _parse_range("%d..%d" % (lo, hi)) == (lo, hi)
+    assert _parse_range("%d..%d" % (lo, hi)) == range(lo, hi + 1)
 
 
 def symmetric_rows(draw, n):

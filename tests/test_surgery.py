@@ -59,6 +59,13 @@ class TestXFamily:
             assert (odd, even) == (2 * q - 1, 2 * q)
             assert x_family(odd).q == x_family(even).q == q
 
+    def test_family_parameter_checks_parity_and_q(self):
+        for parity, q, message in (("bogus", 1, "parity must be 'odd' or 'even'"),
+                                   ("odd", 0, "q values must be positive"),
+                                   ("even", -3, "q values must be positive")):
+            with pytest.raises(ValueError, match="^%s$" % message):
+                family_parameter(parity, q)
+
     def test_family_invariants(self):
         for p in range(1, 101):
             m = x_family(p)
@@ -130,7 +137,7 @@ class TestTorusMappingClass:
 
     def test_coordinate_swap_does_not_stabilize(self):
         # (0, 1, 0) maps to (0, 0, 1), which leaves the summand
-        swap = IntMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        swap = TorusMappingClass(IntMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, -1, 0]]))
         assert not stabilizes_summand(swap)
 
     def test_non_orientation_preserving_rejected(self):
@@ -140,8 +147,6 @@ class TestTorusMappingClass:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             TorusMappingClass(IntMatrix.identity(2))
-        with pytest.raises(ValueError):
-            stabilizes_summand(IntMatrix.identity(2))
 
 
 class TestVFamilyHomology:
