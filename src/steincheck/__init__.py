@@ -1,106 +1,5 @@
 """Exact-arithmetic verification of the algebra behind log-transform
-families of Stein handlebodies: integral quadratic forms, Smith normal
-form homology, adjunction genus bounds, torus mapping classes, and d3
-invariants.  All computation is over Z and Q; no floating point."""
-
-from .intlin import (
-    AbelianGroup,
-    DegenerateLinkingFormError,
-    IntMatrix,
-    SmithDecomposition,
-    cokernel,
-    congruence_transform,
-    determinant,
-    inertia,
-    rational_solve,
-    smith_normal_form,
-)
-from .quadform import (
-    FormClass,
-    QuadraticForm,
-    SquareSolutions,
-    classify,
-    is_isomorphic,
-    pairing,
-    parity,
-    solve_square,
-)
-from .handle import (
-    AlgebraicFourManifold,
-    FramedLinkPresentation,
-    SteinFramingReport,
-    boundary_first_homology,
-    c1_square,
-    chern_eval,
-    d3,
-    invariants_from_link,
-    stein_checks,
-)
-from .surgery import (
-    LogTransformFamilyMember,
-    TorusMappingClass,
-    compose,
-    fp_matrix,
-    normalized_form,
-    stabilizes_summand,
-    v_family_homology,
-    x_family,
-)
-from .obstruct import (
-    GenusBound,
-    InfinitudeCertificate,
-    adjunction_lower_bound,
-    certificate_csv_rows,
-    certificate_text,
-    class_rigidity,
-    homeo_decide,
-    infinitude_report,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AbelianGroup",
-    "AlgebraicFourManifold",
-    "DegenerateLinkingFormError",
-    "FormClass",
-    "FramedLinkPresentation",
-    "GenusBound",
-    "InfinitudeCertificate",
-    "IntMatrix",
-    "LogTransformFamilyMember",
-    "QuadraticForm",
-    "SmithDecomposition",
-    "SquareSolutions",
-    "SteinFramingReport",
-    "TorusMappingClass",
-    "adjunction_lower_bound",
-    "boundary_first_homology",
-    "c1_square",
-    "certificate_csv_rows",
-    "certificate_text",
-    "chern_eval",
-    "class_rigidity",
-    "classify",
-    "cokernel",
-    "compose",
-    "congruence_transform",
-    "d3",
-    "determinant",
-    "fp_matrix",
-    "homeo_decide",
-    "inertia",
-    "infinitude_report",
-    "invariants_from_link",
-    "is_isomorphic",
-    "normalized_form",
-    "pairing",
-    "parity",
-    "rational_solve",
-    "smith_normal_form",
-    "solve_square",
-    "stabilizes_summand",
-    "stein_checks",
-    "v_family_homology",
-    "x_family",
-]
+families of Stein handlebodies: integral quadratic forms, cokernel
+homology, adjunction genus bounds, torus mapping classes, and d3
+invariants.  All computation is over Z and Q; no floating point.
+Import each name from its module."""

@@ -58,6 +58,10 @@ def _load_json(path: str):
             return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise CliInputError("%s: %s" % (path, exc.strerror or exc)) from None
+    except UnicodeDecodeError as exc:
+        raise CliInputError("%s: not UTF-8 text: %s at byte %d" % (path, exc.reason, exc.start)) from None
+    except RecursionError:
+        raise CliInputError("%s: JSON nested too deeply" % path) from None
     except json.JSONDecodeError as exc:
         raise CliInputError(
             "%s: malformed JSON at line %d, column %d: %s"

@@ -14,9 +14,6 @@ from .intlin import (
     matrix_to_json,
 )
 
-EVEN = "even"
-ODD = "odd"
-
 # Steps per cycle walk before a rank-2 comparison is left undecided.
 _RHO_STEP_CAP = 1 << 20
 
@@ -95,12 +92,6 @@ class FormClass:
         )
 
 
-def parity(F: QuadraticForm) -> str:
-    """Even iff v.v is even for every v, i.e. every diagonal entry is even."""
-    diag_even = all(F.gram.entries[i][i] % 2 == 0 for i in range(F.rank))
-    return EVEN if diag_even else ODD
-
-
 def classify(F: QuadraticForm) -> FormClass:
     """FormClass of F by one elimination, kept on F since gram alone determines it."""
     if F._class is not None:
@@ -118,7 +109,8 @@ def classify(F: QuadraticForm) -> FormClass:
     object.__setattr__(F, "_class", FormClass(
         rank=rank,
         signature=pos - neg,
-        parity=parity(F),
+        # even iff v.v is even for every v, i.e. every diagonal entry is even
+        parity="even" if all(F.gram.entries[i][i] % 2 == 0 for i in range(rank)) else "odd",
         definiteness=definiteness,
         unimodular=not zero and abs(det) == 1,
         determinant=0 if zero else det,
@@ -230,12 +222,9 @@ class SquareSolutions:
     vectors: tuple[tuple[int, int], ...]
     complete: bool
 
-    def as_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.vectors)
-
     def is_plus_minus(self, s: tuple[int, int]) -> bool:
         """Whether the set is provably {s, -s}: complete and nothing else."""
-        return self.complete and self.as_set() == {s, (-s[0], -s[1])}
+        return self.complete and set(self.vectors) == {s, (-s[0], -s[1])}
 
 
 def _divisors(n: int) -> list[int]:

@@ -65,10 +65,10 @@ def test_criterion_03_distinguished_class_solutions():
         c = -2 if p % 2 == 1 else -1
         k = member.s_class[0]
         sols = solve_square(member.manifold.form, c)
-        ok = ok and sols.complete and sols.as_set() == {(k, 1), (-k, -1)}
+        ok = ok and sols.complete and set(sols.vectors) == {(k, 1), (-k, -1)}
         # independent cross-check by a sweep over the box
         box = sweep_square_solutions([[0, 1], [1, d]], c, 200)
-        exact_in_box = {v for v in sols.as_set() if max(abs(v[0]), abs(v[1])) <= 200}
+        exact_in_box = {v for v in sols.vectors if max(abs(v[0]), abs(v[1])) <= 200}
         ok = ok and box == exact_in_box
     report(3, "v.v = -2/-1 solved only by +-S_p", ok)
 

@@ -170,6 +170,24 @@ class TestInputErrors:
         assert code == 2
         assert "no_such_file" in err
 
+    @pytest.mark.parametrize("argv", [("form", "classify"), ("form", "iso", str(FIXTURES / "x_form.json"))])
+    def test_form_file_nested_too_deeply(self, capsys, tmp_path, argv):
+        deep = tmp_path / "form.json"
+        deep.write_text('{"gram": ' + "[" * 100_000)
+        assert invoke(capsys, *argv, str(deep)) == (2, "", "error: %s: JSON nested too deeply\n" % deep)
+
+    @pytest.mark.parametrize("argv", [("d3",), ("homology", "boundary")])
+    def test_link_file_nested_too_deeply(self, capsys, tmp_path, argv):
+        deep = tmp_path / "link.json"
+        deep.write_text('{"linking": ' + "[" * 100_000)
+        assert invoke(capsys, *argv, str(deep)) == (2, "", "error: %s: JSON nested too deeply\n" % deep)
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "link.json"
+        bad.write_bytes(b'{"linking": [[-1]], "rot": [0], "tb": [0]}\xff')
+        assert invoke(capsys, "d3", str(bad)) == (
+            2, "", "error: %s: not UTF-8 text: invalid start byte at byte 42\n" % bad)
+
     def test_wrong_schema(self, capsys, tmp_path):
         bad = tmp_path / "schema.json"
         bad.write_text('{"rot": ["0"]}')

@@ -13,7 +13,6 @@ from steincheck.quadform import (
     classify,
     is_isomorphic,
     pairing,
-    parity,
     solve_square,
 )
 
@@ -36,14 +35,14 @@ def Q(rows):
 
 class TestParity:
     def test_examples(self):
-        assert parity(Q([[0, 1], [1, -2]])) == "even"
-        assert parity(Q([[0, 1], [1, -9]])) == "odd"
-        assert parity(Q([[1]])) == "odd"
+        assert classify(Q([[0, 1], [1, -2]])).parity == "even"
+        assert classify(Q([[0, 1], [1, -9]])).parity == "odd"
+        assert classify(Q([[1]])).parity == "odd"
 
     def test_family_even_iff_p_odd(self):
         for p in range(1, 101):
             expected = "even" if p % 2 == 1 else "odd"
-            assert parity(family_form(p)) == expected
+            assert classify(family_form(p)).parity == expected
 
 
 class TestClassify:
@@ -294,34 +293,34 @@ class TestSolveSquare:
     def test_p1_square_minus_two(self):
         sols = solve_square(Q([[0, 1], [1, -4]]), -2)
         assert sols.complete
-        assert sols.as_set() == {(1, 1), (-1, -1)}
+        assert set(sols.vectors) == {(1, 1), (-1, -1)}
 
     def test_p2_square_minus_one(self):
         sols = solve_square(Q([[0, 1], [1, -9]]), -1)
         assert sols.complete
-        assert sols.as_set() == {(4, 1), (-4, -1)}
+        assert set(sols.vectors) == {(4, 1), (-4, -1)}
 
     def test_no_solutions(self):
         sols = solve_square(Q([[0, 1], [1, 0]]), 1)
         assert sols.complete
-        assert sols.as_set() == set()
+        assert set(sols.vectors) == set()
 
     def test_isotropic_c_zero_is_bounded_only(self):
         sols = solve_square(Q([[0, 1], [1, 0]]), 0)
         assert not sols.complete
-        assert (3, 0) in sols.as_set() and (0, -4) in sols.as_set()
-        assert (100, 0) in sols.as_set() and (101, 0) not in sols.as_set()
+        assert (3, 0) in sols.vectors and (0, -4) in sols.vectors
+        assert (100, 0) in sols.vectors and (101, 0) not in sols.vectors
 
     def test_mirrored_isotropic_basis_vector(self):
         # same equation with the roles of the two basis vectors swapped
         sols = solve_square(Q([[-4, 1], [1, 0]]), -2)
         assert sols.complete
-        assert sols.as_set() == {(1, 1), (-1, -1)}
+        assert set(sols.vectors) == {(1, 1), (-1, -1)}
 
     def test_normalized_even_form(self):
         sols = solve_square(Q([[0, 1], [1, -2]]), -2)
         assert sols.complete
-        assert sols.as_set() == {(0, 1), (0, -1)}
+        assert set(sols.vectors) == {(0, 1), (0, -1)}
 
     def test_distinguished_square_in_normalized_coordinates(self):
         # in the (T_p, S_p) basis the solution set is exactly +-(0, 1)
@@ -332,7 +331,7 @@ class TestSolveSquare:
                 gram, c = [[0, 1], [1, -1]], -1
             sols = solve_square(Q(gram), c)
             assert sols.complete
-            assert sols.as_set() == {(0, 1), (0, -1)}, "p = %d" % p
+            assert set(sols.vectors) == {(0, 1), (0, -1)}, "p = %d" % p
 
     def test_exact_mode_agrees_with_brute_force(self):
         # every solution has |y| <= |c| and |x| <= (1 + 9)|c| / 2 <= 50
@@ -342,18 +341,18 @@ class TestSolveSquare:
                     continue
                 sols = solve_square(Q([[0, 1], [1, d]]), c)
                 assert sols.complete
-                assert sols.as_set() == sweep_square_solutions([[0, 1], [1, d]], c, 50), (d, c)
+                assert set(sols.vectors) == sweep_square_solutions([[0, 1], [1, d]], c, 50), (d, c)
                 # the mirrored Gram matrix has the coordinates swapped
                 mirrored = solve_square(Q([[d, 1], [1, 0]]), c)
                 assert mirrored.complete
-                assert mirrored.as_set() == {(y, x) for x, y in sols.as_set()}, (d, c)
+                assert set(mirrored.vectors) == {(y, x) for x, y in sols.vectors}, (d, c)
 
     def test_definite_form_is_complete(self):
         gram = [[2, 1], [1, 2]]
         for c in (-2, 0, 2, 6, 14):
             sols = solve_square(Q(gram), c)
             assert sols.complete
-            assert sols.as_set() == sweep_square_solutions(gram, c, 20)
+            assert set(sols.vectors) == sweep_square_solutions(gram, c, 20)
         # x^2 + xy + y^2 = 7 has twelve solutions, reaching |y| = 3
         assert len(solve_square(Q(gram), 14).vectors) == 12
 
@@ -372,8 +371,8 @@ class TestSolveSquare:
             sols = solve_square(Q(gram), c)
             mirrored = solve_square(Q([[d, b], [b, a]]), c)
             assert sols.complete and mirrored.complete
-            assert sols.as_set() == sweep_square_solutions(gram, c, bound), (gram, c)
-            assert mirrored.as_set() == {(y, x) for x, y in sols.as_set()}, (gram, c)
+            assert set(sols.vectors) == sweep_square_solutions(gram, c, bound), (gram, c)
+            assert set(mirrored.vectors) == {(y, x) for x, y in sols.vectors}, (gram, c)
             assert list(mirrored.vectors) == sorted(mirrored.vectors)
         # the sweep runs over the axis of the smaller diagonal entry, whichever comes first
         for gram in ([[10**6, 0], [0, 1]], [[1, 0], [0, 10**6]]):
@@ -410,11 +409,11 @@ class TestSolveSquare:
                 # when a = 0, y divides c and |x| <= (1 + |d|)|c| / 2.
                 bound = isqrt(abs(c * (a + d)) // -D) if D < 0 else (5 * abs(c) + 1) // 2
                 assert sols.complete, (a, b, d, c)
-                assert sols.as_set() == sweep_square_solutions([[a, b], [b, d]], c, bound), (a, b, d, c)
+                assert set(sols.vectors) == sweep_square_solutions([[a, b], [b, d]], c, bound), (a, b, d, c)
         for gram, c in (case for cases in infinite.values() for case in rng.sample(cases, 4)):
             sols = solve_square(Q(gram), c)
             assert not sols.complete, (gram, c)
-            assert sols.as_set() == sweep_square_solutions(gram, c, 100), (gram, c)
+            assert set(sols.vectors) == sweep_square_solutions(gram, c, 100), (gram, c)
 
     def test_isotropic_forms_factor_c_not_ac(self, monkeypatch):
         # moving the isotropic basis vector first keeps the divisor search at

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from steincheck.intlin import IntMatrix, determinant
-from steincheck.quadform import pairing, parity
+from steincheck.quadform import classify, pairing
 from steincheck.handle import chern_eval
 from steincheck.surgery import (
     TorusMappingClass,
@@ -71,7 +71,7 @@ class TestXFamily:
             m = x_family(p)
             form = m.manifold.form
             assert determinant(form.gram) == -1
-            assert parity(form) == ("even" if p % 2 == 1 else "odd")
+            assert classify(form).parity == ("even" if p % 2 == 1 else "odd")
             assert m.manifold.sig == 0
             q = m.q
             assert q == ((p + 1) // 2 if p % 2 == 1 else p // 2)
