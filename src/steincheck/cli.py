@@ -294,7 +294,7 @@ def _cmd_homology_v_family(args) -> tuple[int, str]:
     group = v_family_homology(args.p)
     if args.output == "json":
         return 0, _json_text({"p": args.p, **group.to_json_obj()})
-    return 0, "H1 = %s\n" % group
+    return 0, "H1 = %s\n" % (group,)
 
 
 def _cmd_mapping_class_fp(args) -> tuple[int, str]:

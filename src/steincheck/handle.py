@@ -10,9 +10,9 @@ signature.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .intlin import (
     AbelianGroup,
@@ -31,8 +31,7 @@ D3_TORSION_WARNING = ("d3 computed for a boundary that is not a homology sphere;
                       "the value depends on the chosen lift of c1 over torsion")
 
 
-@dataclass(frozen=True)
-class FramedLinkPresentation:
+class FramedLinkPresentation(namedtuple("FramedLinkPresentation", "linking rot tb")):
     """Framed link of 2-handle attaching circles.
 
     ``linking`` holds linking numbers off the diagonal and framings on it;
@@ -40,17 +39,16 @@ class FramedLinkPresentation:
     Thurston-Bennequin numbers, one per component.
     """
 
-    linking: IntMatrix
-    rot: tuple[int, ...]
-    tb: Optional[tuple[int, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.linking.is_symmetric:
+    def __new__(cls, linking: IntMatrix, rot: tuple[int, ...], tb: Optional[tuple[int, ...]] = None):
+        if not linking.is_symmetric:
             raise ValueError("linking matrix must be symmetric")
-        if len(self.rot) != self.linking.rows:
+        if len(rot) != linking.rows:
             raise ValueError("rotation numbers must match the number of 2-handles")
-        if self.tb is not None and len(self.tb) != self.linking.rows:
+        if tb is not None and len(tb) != linking.rows:
             raise ValueError("tb numbers must match the number of 2-handles")
+        return tuple.__new__(cls, (linking, rot, tb))
 
     @property
     def n(self) -> int:
@@ -75,8 +73,9 @@ class FramedLinkPresentation:
         )
 
 
-@dataclass(frozen=True)
-class AlgebraicFourManifold:
+class AlgebraicFourManifold(namedtuple(
+        "AlgebraicFourManifold",
+        "form c1 euler sig simply_connected boundary_homology_sphere name stein")):
     """Algebraic shadow of a compact 4-manifold with boundary.
 
     ``c1`` is the evaluation vector of the first Chern class on the chosen
@@ -87,18 +86,15 @@ class AlgebraicFourManifold:
     from the form, which determines all three.
     """
 
-    form: QuadraticForm
-    c1: tuple[int, ...]
-    euler: int
-    sig: int
-    simply_connected: bool
-    boundary_homology_sphere: bool
-    name: str = ""
-    stein: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.c1) != self.form.rank:
+    def __new__(cls, form: QuadraticForm, c1: tuple[int, ...], euler: int, sig: int,
+                simply_connected: bool, boundary_homology_sphere: bool,
+                name: str = "", stein: bool = False):
+        if len(c1) != form.rank:
             raise ValueError("c1 vector length must match the rank of the form")
+        return tuple.__new__(cls, (form, c1, euler, sig, simply_connected,
+                                   boundary_homology_sphere, name, stein))
 
     def is_characteristic(self) -> bool:
         """Whether c1(v) = v.v mod 2 on basis vectors, as for an
@@ -119,8 +115,7 @@ class AlgebraicFourManifold:
         }
 
 
-@dataclass(frozen=True)
-class SteinFramingReport:
+class SteinFramingReport(NamedTuple):
     """Per-handle results of the Stein framing and parity checks."""
 
     framing_ok: tuple[bool, ...]

@@ -8,35 +8,33 @@ are immutable, so they are safe to share between threads.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class DegenerateLinkingFormError(ValueError):
     """Raised when a singular matrix blocks an exact linear solve."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """Immutable integer matrix, row-major, with unbounded entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged rows in matrix entries")
             for e in row:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise ValueError("matrix entries must be integers")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -87,8 +85,7 @@ class IntMatrix:
         return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ A @ V = D with U, V unimodular and D in Smith normal form."""
 
     U: IntMatrix
@@ -103,8 +100,7 @@ class SmithDecomposition:
         return tuple(d for d in self.diagonal() if d != 0)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple):
     """Finitely generated abelian group Z^free_rank + sum of Z/d_i.
 
     The torsion orders are the invariant factors > 1, in divisibility order.

@@ -5,8 +5,7 @@ infinitely many smooth structures in one homeomorphism type."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .handle import AlgebraicFourManifold, chern_eval
 from .quadform import classify, is_isomorphic, pairing, solve_square
@@ -20,8 +19,7 @@ CLASS_RIGIDITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class GenusBound:
+class GenusBound(NamedTuple):
     """Adjunction lower bound for the genus of embedded surfaces in a class.
 
     lower_bound = max(0, ceil((|c1.v| + v.v + 2) / 2)), from the adjunction
@@ -42,8 +40,7 @@ class GenusBound:
         }
 
 
-@dataclass(frozen=True)
-class InfinitudeCertificate:
+class InfinitudeCertificate(NamedTuple):
     """Machine-checked record that a family contains infinitely many
     pairwise homeomorphic but mutually distinct smooth structures.
 
@@ -117,8 +114,7 @@ def homeo_decide(M: AlgebraicFourManifold, N: AlgebraicFourManifold) -> str:
     return "inapplicable"
 
 
-@dataclass(frozen=True)
-class HomeoClasses:
+class HomeoClasses(NamedTuple):
     """A list of manifolds split into homeomorphism classes.
 
     ``class_of[i]`` is the class of the i-th manifold, ``representatives[c]``

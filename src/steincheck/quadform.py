@@ -3,9 +3,9 @@ isomorphism decisions, and exact solving of v.v = c on rank-2 forms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd, isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .intlin import (
     IntMatrix,
@@ -21,19 +21,17 @@ _RHO_STEP_CAP = 1 << 20
 _BOX = 100
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(namedtuple("QuadraticForm", "gram labels")):
     """Integral symmetric bilinear form with optional basis labels."""
 
-    gram: IntMatrix
-    labels: Optional[tuple[str, ...]] = None
-    _class: Optional["FormClass"] = field(default=None, init=False, compare=False, repr=False)
+    _class: Optional["FormClass"] = None  # classify sets it on the instance, outside the fields
 
-    def __post_init__(self):
-        if not self.gram.is_symmetric:
+    def __new__(cls, gram: IntMatrix, labels: Optional[tuple[str, ...]] = None):
+        if not gram.is_symmetric:
             raise ValueError("Gram matrix must be symmetric")
-        if self.labels is not None and len(self.labels) != self.gram.rows:
+        if labels is not None and len(labels) != gram.rows:
             raise ValueError("label count must match the rank")
+        return tuple.__new__(cls, (gram, labels))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> "QuadraticForm":
@@ -61,8 +59,7 @@ class QuadraticForm:
         return cls(matrix_from_json(obj["gram"]), labels)
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(NamedTuple):
     """Classification data of an integral symmetric form."""
 
     rank: int
@@ -106,7 +103,7 @@ def classify(F: QuadraticForm) -> FormClass:
         definiteness = "negative"
     else:
         definiteness = "indefinite"
-    object.__setattr__(F, "_class", FormClass(
+    F._class = FormClass(
         rank=rank,
         signature=pos - neg,
         # even iff v.v is even for every v, i.e. every diagonal entry is even
@@ -114,7 +111,7 @@ def classify(F: QuadraticForm) -> FormClass:
         definiteness=definiteness,
         unimodular=not zero and abs(det) == 1,
         determinant=0 if zero else det,
-    ))
+    )
     return F._class
 
 
@@ -210,8 +207,7 @@ def _rho(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
     return c, b2, (b2 * b2 - D) // c
 
 
-@dataclass(frozen=True)
-class SquareSolutions:
+class SquareSolutions(NamedTuple):
     """Solutions of v.v = c on a rank-2 form.
 
     ``complete`` marks whether ``vectors`` is the full solution set (the set

@@ -5,8 +5,8 @@ homology family V_p."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 from .handle import AlgebraicFourManifold
 from .intlin import (
@@ -20,8 +20,7 @@ from .intlin import (
 from .quadform import QuadraticForm
 
 
-@dataclass(frozen=True)
-class LogTransformFamilyMember:
+class LogTransformFamilyMember(NamedTuple):
     """One member X_p of the log-transform family.
 
     The manifold carries the intersection form [[0,1],[1,-2p^2+p-3]] in the
@@ -30,7 +29,7 @@ class LogTransformFamilyMember:
     label p = 0 denotes the untransformed manifold X with form
     [[0,1],[1,-2]] in the basis (T, S) and S itself as distinguished class.
 
-    x_family() is the validated constructor; the dataclass itself accepts
+    x_family() is the validated constructor; the record itself accepts
     arbitrary data so that degenerate examples can be probed.
     """
 
@@ -135,8 +134,7 @@ def member_json(member: LogTransformFamilyMember) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class TorusMappingClass:
+class TorusMappingClass(namedtuple("TorusMappingClass", "matrix")):
     """Isotopy class of an orientation-preserving self-diffeomorphism of the
     3-torus, recorded by its action on H1 = Z^3.
 
@@ -145,13 +143,14 @@ class TorusMappingClass:
     zero entries in the first two rows.
     """
 
-    matrix: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.matrix.rows == 3 and self.matrix.cols == 3):
+    def __new__(cls, matrix: IntMatrix):
+        if not (matrix.rows == 3 and matrix.cols == 3):
             raise ValueError("torus mapping class must be a 3x3 matrix")
-        if determinant(self.matrix) != 1:
+        if determinant(matrix) != 1:
             raise ValueError("torus mapping class must have determinant 1")
+        return tuple.__new__(cls, (matrix,))
 
     def to_json_obj(self) -> list[list[int]]:
         return self.matrix.to_lists()

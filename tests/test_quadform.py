@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from math import isqrt
@@ -117,7 +116,7 @@ class TestClassKeptOnForm:
     def test_replaced_gram_gets_its_own_class(self):
         F = family_form(1)
         assert classify(F).parity == "even"
-        G = dataclasses.replace(F, gram=family_form(2).gram)
+        G = QuadraticForm(family_form(2).gram, F.labels)
         assert classify(G).parity == "odd" and classify(F).parity == "even"
 
     def test_distinct_forms_with_equal_entries_classify_equal(self):
