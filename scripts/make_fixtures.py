@@ -13,7 +13,7 @@ from pathlib import Path
 
 from steincheck.handle import FramedLinkPresentation
 from steincheck.intlin import IntMatrix
-from steincheck.surgery import FIXTURE_NOTES, member_json, x_family
+from steincheck.surgery import FIXTURE_NOTES, x_family
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -36,7 +36,7 @@ def build() -> dict[str, str]:
         "x_form.json": x_family(0).manifold.form.to_json_obj(),
         "x2_form.json": x_family(2).manifold.form.to_json_obj(),
         "x_family.json": {"meta": FIXTURE_NOTES,
-                          "members": [member_json(x_family(p)) for p in range(0, 11)]},
+                          "members": [x_family(p).to_json_obj() for p in range(0, 11)]},
     }
     return {name: json.dumps(obj, sort_keys=True, indent=2) + "\n" for name, obj in objs.items()}
 

@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from functools import cache
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .handle import (
@@ -40,7 +41,6 @@ from .surgery import (
     compose,
     family_parameter,
     fp_matrix,
-    member_json,
     normalized_form,
     stabilizes_summand,
     v_family_homology,
@@ -73,7 +73,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(rows: Sequence[Sequence[str]]) -> str:
+def _csv_text(rows: Iterable[Sequence]) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
@@ -148,50 +148,48 @@ def _cmd_form_iso(args) -> tuple[int, str]:
 
 def _cmd_family_x(args) -> tuple[int, str]:
     if args.p is not None:
-        members = [x_family(args.p)]
-    else:
-        members = [x_family(p) for p in _parse_range(args.p_range)]
+        member = x_family(args.p)
+        return 0, (_member_text(member) + "\n" if args.output == "text"
+                   else _json_text(member.to_json_obj()))
+    # members are built one at a time as they are rendered, and no list of them is kept
+    members = map(x_family, _parse_range(args.p_range))
     if args.output == "text":
-        return 0, _lines(_member_text(member) for member in members)
-    if args.p is not None:
-        return 0, _json_text(member_json(members[0]))
-    return 0, _json_text({"meta": FIXTURE_NOTES, "members": [member_json(m) for m in members]})
+        return 0, _lines(map(_member_text, members))
+    return 0, _json_text({"meta": FIXTURE_NOTES, "members": [m.to_json_obj() for m in members]})
 
 
 def _cmd_lemma_homeo(args) -> tuple[int, str]:
     if args.max_p < 1:
         raise CliInputError("--max-p must be >= 1")
     ps = range(args.max_p + 1)
-    members = [x_family(p) for p in ps]
-    classes = homeo_classes([m.manifold for m in members])
-    # one verdict per pair p <= q fills the symmetric table
-    table = [[""] * len(ps) for _ in ps]
-    pairs = []
-    all_match = True
-    for p in ps:
-        for q in ps[p:]:
-            verdict = table[p][q] = table[q][p] = classes.verdict(p, q)
-            expected = _has_even_form(p) == _has_even_form(q)
-            got = verdict == "homeomorphic"
-            all_match = all_match and got == expected and verdict != "inapplicable"
-            pairs.append({"p": p, "q": q, "homeomorphic": got, "expected": expected})
+    manifolds = [x_family(p).manifold for p in ps]
+    classes = homeo_classes(manifolds)
+    class_of, between = classes.class_of, classes.between
+    even = [_has_even_form(p) for p in ps]
+    # a verdict depends only on the two classes and the expectation only on the
+    # two parities, so checking each pair of (class, parity) kinds checks every pair
+    kinds = set(zip(class_of, even))
+    all_match = all(
+        between[c, d] != "inapplicable" and (between[c, d] == "homeomorphic") == (e == f)
+        for c, e in kinds for d, f in kinds
+    )
     code = 0 if all_match else 1
+    pairs = ((p, q, classes.verdict(p, q) == "homeomorphic", even[p] == even[q])
+             for p in ps for q in ps[p:])
     if args.output == "json":
+        pairs = [{"p": p, "q": q, "homeomorphic": h, "expected": e} for p, q, h, e in pairs]
         return code, _json_text({"max_p": args.max_p, "pairs": pairs, "parity_rule_holds": all_match})
     if args.output == "csv":
-        rows = [["p", "q", "homeomorphic", "expected"]]
-        rows += [
-            [str(d["p"]), str(d["q"]), str(d["homeomorphic"]).lower(), str(d["expected"]).lower()]
-            for d in pairs
-        ]
-        return code, _csv_text(rows)
-    names = {p: members[p].manifold.name for p in ps}
-    width = max(len(n) for n in names.values()) + 1
-    lines = [" " * width + " ".join(names[q].rjust(width) for q in ps)]
-    mark = {"homeomorphic": "H".rjust(width)}
-    for p in ps:
-        cells = " ".join(mark.get(verdict, ".".rjust(width)) for verdict in table[p])
-        lines.append(names[p].rjust(width) + " " + cells)
+        rows = ((p, q, str(h).lower(), str(e).lower()) for p, q, h, e in pairs)
+        return code, _csv_text(chain([("p", "q", "homeomorphic", "expected")], rows))
+    names = [M.name for M in manifolds]
+    width = max(map(len, names)) + 1
+    mark = {True: "H".rjust(width), False: ".".rjust(width)}
+    # one row of cells per class: every member of a class has the same row
+    cells = [" ".join(mark[between[c, d] == "homeomorphic"] for d in class_of)
+             for c in range(len(classes.representatives))]
+    lines = [" " * width + " ".join(name.rjust(width) for name in names)]
+    lines += [names[p].rjust(width) + " " + cells[c] for p, c in enumerate(class_of)]
     lines.append(
         "rule check (homeomorphic iff both forms have the same parity): %s"
         % ("PASS" if all_match else "FAIL")
@@ -446,7 +444,3 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -18,6 +18,7 @@ from .intlin import (
     AbelianGroup,
     DegenerateLinkingFormError,
     IntMatrix,
+    _Checked,
     _symmetric_bareiss,
     cokernel,
     matrix_from_json,
@@ -31,7 +32,7 @@ D3_TORSION_WARNING = ("d3 computed for a boundary that is not a homology sphere;
                       "the value depends on the chosen lift of c1 over torsion")
 
 
-class FramedLinkPresentation(namedtuple("FramedLinkPresentation", "linking rot tb")):
+class FramedLinkPresentation(_Checked, namedtuple("FramedLinkPresentation", "linking rot tb")):
     """Framed link of 2-handle attaching circles.
 
     ``linking`` holds linking numbers off the diagonal and framings on it;
@@ -73,7 +74,7 @@ class FramedLinkPresentation(namedtuple("FramedLinkPresentation", "linking rot t
         )
 
 
-class AlgebraicFourManifold(namedtuple(
+class AlgebraicFourManifold(_Checked, namedtuple(
         "AlgebraicFourManifold",
         "form c1 euler sig simply_connected boundary_homology_sphere name stein")):
     """Algebraic shadow of a compact 4-manifold with boundary.

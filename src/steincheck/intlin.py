@@ -18,7 +18,24 @@ class DegenerateLinkingFormError(ValueError):
     """Raised when a singular matrix blocks an exact linear solve."""
 
 
-class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
+class _Checked:
+    """Base of the named-tuple records whose constructor checks its fields:
+    ``_make``, and so ``_replace``, build through the constructor, and the
+    tuple ``+`` and ``*`` are refused."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
+
+class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
     """Immutable integer matrix, row-major, with unbounded entries."""
 
     __slots__ = ()

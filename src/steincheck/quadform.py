@@ -9,6 +9,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .intlin import (
     IntMatrix,
+    _Checked,
     _symmetric_bareiss,
     matrix_from_json,
     matrix_to_json,
@@ -21,10 +22,15 @@ _RHO_STEP_CAP = 1 << 20
 _BOX = 100
 
 
-class QuadraticForm(namedtuple("QuadraticForm", "gram labels")):
+class QuadraticForm(_Checked, namedtuple("QuadraticForm", "gram labels")):
     """Integral symmetric bilinear form with optional basis labels."""
 
     _class: Optional["FormClass"] = None  # classify sets it on the instance, outside the fields
+
+    def __setattr__(self, *args):
+        raise AttributeError("QuadraticForm is immutable")
+
+    __delattr__ = __setattr__
 
     def __new__(cls, gram: IntMatrix, labels: Optional[tuple[str, ...]] = None):
         if not gram.is_symmetric:
@@ -103,7 +109,7 @@ def classify(F: QuadraticForm) -> FormClass:
         definiteness = "negative"
     else:
         definiteness = "indefinite"
-    F._class = FormClass(
+    fc = FormClass(
         rank=rank,
         signature=pos - neg,
         # even iff v.v is even for every v, i.e. every diagonal entry is even
@@ -112,7 +118,8 @@ def classify(F: QuadraticForm) -> FormClass:
         unimodular=not zero and abs(det) == 1,
         determinant=0 if zero else det,
     )
-    return F._class
+    object.__setattr__(F, "_class", fc)  # the one write past __setattr__
+    return fc
 
 
 def pairing(F: QuadraticForm, u: Sequence[int], v: Sequence[int]) -> int:

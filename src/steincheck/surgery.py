@@ -12,6 +12,7 @@ from .handle import AlgebraicFourManifold
 from .intlin import (
     AbelianGroup,
     IntMatrix,
+    _Checked,
     cokernel,
     congruence_transform,
     determinant,
@@ -52,6 +53,7 @@ class LogTransformFamilyMember(NamedTuple):
             "k": self.k,
             "manifold": self.manifold.to_json_obj(),
             "s_class": vector_to_json(self.s_class),
+            "normalized_form": normalized_form(self).to_json_obj(),
         }
 
 
@@ -127,14 +129,7 @@ FIXTURE_NOTES = {
 }
 
 
-def member_json(member: LogTransformFamilyMember) -> dict:
-    """The member's JSON object with its normalized form added."""
-    obj = member.to_json_obj()
-    obj["normalized_form"] = normalized_form(member).to_json_obj()
-    return obj
-
-
-class TorusMappingClass(namedtuple("TorusMappingClass", "matrix")):
+class TorusMappingClass(_Checked, namedtuple("TorusMappingClass", "matrix")):
     """Isotopy class of an orientation-preserving self-diffeomorphism of the
     3-torus, recorded by its action on H1 = Z^3.
 

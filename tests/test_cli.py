@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import steincheck.cli as cli
+import steincheck.obstruct as obstruct
 from steincheck.cli import run
 
 from oracles import fraction_determinant, random_symmetric_matrix
@@ -426,6 +431,44 @@ class TestLemmaCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "p,q,homeomorphic,expected"
         assert "0,2,false,false" in lines
+
+    @pytest.mark.parametrize("fault", ["wrong rule", "inapplicable across classes"])
+    def test_homeo_rule_check_fails(self, capsys, monkeypatch, fault):
+        if fault == "wrong rule":
+            monkeypatch.setattr(cli, "_has_even_form", lambda p: p % 2 == 1)
+        else:
+            # the members stay split by parity, but no verdict across the classes is decided
+            decide = obstruct.homeo_decide
+            monkeypatch.setattr(obstruct, "homeo_decide", lambda M, N: (
+                "homeomorphic" if decide(M, N) == "homeomorphic" else "inapplicable"))
+        code, out, _ = invoke(capsys, "lemma", "homeo", "--max-p", "5")
+        assert code == 1 and out.endswith("parity): FAIL\n")
+        code, out, _ = invoke(capsys, "lemma", "homeo", "--max-p", "5", "--output", "json")
+        assert code == 1 and json.loads(out)["parity_rule_holds"] is False
+        code, out, _ = invoke(capsys, "lemma", "homeo", "--max-p", "5", "--output", "csv")
+        assert code == 1 and len(out.splitlines()) == 1 + 6 * 7 // 2
+
+    @pytest.mark.parametrize("argv", [
+        ("lemma", "homeo", "--max-p", "200"),
+        ("lemma", "homeo", "--max-p", "200", "--output", "csv"),
+        ("family", "x", "--p-range", "0..2000"),
+    ], ids=" ".join)
+    def test_peak_memory_is_a_small_multiple_of_the_output(self, argv):
+        # the handlers keep no copy of the answer beyond the text they return
+        cli._parser()  # built once per process, so outside the measurement
+        out = io.StringIO()
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with contextlib.redirect_stdout(out):
+                code = run(list(argv))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert code == 0 and peak < 8 * len(out.getvalue())
 
     def test_basis_restriction(self, capsys):
         code, out, _ = invoke(capsys, "lemma", "basis-restriction", "--p", "4", "--output", "json")

@@ -266,6 +266,30 @@ class TestCharacteristicProperty:
             assert stein_checks(L).all_ok
             assert invariants_from_link(L).is_characteristic()
 
+    def test_van_der_blij_on_d3(self):
+        # Q = B^T D B is unimodular for D a block sum of (1), (-1), [[0, 1], [1, 0]] and
+        # [[2, 1], [1, 1]]; a characteristic rot gives c1^2 = sigma (mod 8), and with
+        # chi = 1 + n that makes 2 d3 an odd integer
+        rng = random.Random(8)
+        blocks = ([[1]], [[-1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]])
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            D = [[0] * n for _ in range(n)]
+            i = 0
+            while i < n:
+                block = rng.choice([b for b in blocks if len(b) <= n - i])
+                for r, row in enumerate(block):
+                    D[i + r][i:i + len(row)] = row
+                i += len(block)
+            B = random_unimodular_matrix(rng, n, 3 * n)
+            rows = [[sum(B[s][i] * D[s][t] * B[t][j] for s in range(n) for t in range(n))
+                     for j in range(n)] for i in range(n)]
+            rot = [rows[i][i] + 2 * rng.randint(-2, 2) for i in range(n)]
+            value, csq, sig, det = _d3_terms(link(rows, rot))
+            assert abs(det) == 1 and csq.denominator == 1
+            assert (csq - sig) % 8 == 0
+            assert (2 * value).denominator == 1 and (2 * value).numerator % 2 == 1
+
 
 class TestValidationAndJson:
     def test_linking_must_be_symmetric(self):

@@ -113,6 +113,18 @@ class TestClassKeptOnForm:
         assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
         assert "FormClass" not in repr(F) and "_class" not in F.to_json_obj()
 
+    def test_form_refuses_every_assignment(self):
+        F = Q([[0, 1], [1, -2]])
+        for _ in range(2):  # before and after classify keeps the class on F
+            for name, value in (("_class", classify(Q([[1, 0], [0, 1]]))), ("note", "x"),
+                                ("gram", Q([[1]]).gram)):
+                with pytest.raises(AttributeError):
+                    setattr(F, name, value)
+                with pytest.raises(AttributeError):
+                    delattr(F, name)
+            assert classify(F) == (2, 0, "even", "indefinite", True, -1)
+        assert not hasattr(F, "note") and F.gram.entries == ((0, 1), (1, -2))
+
     def test_replaced_gram_gets_its_own_class(self):
         F = family_form(1)
         assert classify(F).parity == "even"

@@ -117,6 +117,37 @@ def test_constructor_refuses_bad_input(build, message):
     assert str(info.value) == message
 
 
+# the records whose constructor checks its fields
+CHECKED = (IntMatrix, QuadraticForm, FramedLinkPresentation, AlgebraicFourManifold, TorusMappingClass)
+
+BAD_REPLACE = [
+    (lambda: IntMatrix.from_rows([[1, 2], [2, 1]])._replace(rows=5), "row count does not match entries"),
+    (lambda: IntMatrix._make((2, 2, ((1, 2), (3,)))), "ragged rows in matrix entries"),
+    (lambda: form()._replace(gram=IntMatrix.from_rows([[1, 2], [3, 4]])), "Gram matrix must be symmetric"),
+    (lambda: QuadraticForm._make((form().gram, ("T",))), "label count must match the rank"),
+    (lambda: link()._replace(rot=(0,)), "rotation numbers must match the number of 2-handles"),
+    (lambda: x_family(3).manifold._replace(c1=(0,)), "c1 vector length must match the rank of the form"),
+    (lambda: fp_matrix(2)._replace(matrix=IntMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])),
+     "torus mapping class must have determinant 1"),
+]
+
+
+@pytest.mark.parametrize("build, message", BAD_REPLACE, ids=[m for _, m in BAD_REPLACE])
+def test_replace_and_make_run_the_constructor_checks(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_checked_records_refuse_tuple_arithmetic(cls):
+    a = RECORDS[cls][0]()
+    for op in (lambda: a + a, lambda: 2 * a, lambda: a * 2):
+        with pytest.raises(TypeError):
+            op()
+    assert a._replace() == a and type(a._replace()) is cls
+
+
 def plain_json(obj) -> bool:
     """Whether obj is built from dicts with string keys, lists, strings,
     ints, bools and None only; a tuple, and so a record, is not."""
