@@ -12,7 +12,9 @@ one separate, untimed call as the summed length of the ranges that
 ``solve_square`` iterates over; it grows like sqrt(|c|) in every kind.
 ``test_solve_square_long_axis`` solves diag(10^6, 1) and its mirror at
 c = 10^12, where a sweep along the axis of the larger diagonal entry would
-take 10^3 times the steps.
+take 10^3 times the steps.  ``test_solve_square_not_finite`` times the forms
+whose sets are not all finite (D = 0, a non-square D > 0, c = 0 on a square
+D), where ``solve_square`` answers without a loop step.
 
 ``test_is_isomorphic`` times one pass of ``is_isomorphic`` over a seeded list
 of pairs per kind: family forms of equal and of different parity (decided by
@@ -89,6 +91,27 @@ def test_solve_square(benchmark, monkeypatch, kind, k):
     benchmark.extra_info.update(gram=gram, c=c, steps=steps(F, c, monkeypatch))
     result = benchmark(solve_square, F, c)
     assert result.complete
+
+
+# Forms whose sets of v.v = c are not all finite: D = 0, a non-square D > 0
+# (empty or infinite for c != 0, the origin alone for c = 0) and c = 0 on a
+# square D.  Each is (gram, c, vectors, complete), answered without a loop step.
+NOT_FINITE = {
+    "degenerate": ([[4, 2], [2, 1]], 4, (), False),
+    "non-square-D": ([[1, 0], [0, -7]], 2, (), False),
+    "non-square-D-c0": ([[1, 0], [0, -7]], 0, ((0, 0),), True),
+    "isotropic-c0": ([[0, 1], [1, 3]], 0, (), False),
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_FINITE))
+def test_solve_square_not_finite(benchmark, monkeypatch, kind):
+    gram, c, vectors, complete = NOT_FINITE[kind]
+    F = QuadraticForm.from_rows(gram)
+    benchmark.group = "solve_square-not-finite"
+    benchmark.extra_info.update(gram=gram, c=c, steps=steps(F, c, monkeypatch))
+    assert benchmark.extra_info["steps"] == 0
+    assert benchmark(solve_square, F, c) == (vectors, complete)
 
 
 @pytest.mark.parametrize("gram", ([[10**6, 0], [0, 1]], [[1, 0], [0, 10**6]]),

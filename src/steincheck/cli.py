@@ -48,22 +48,18 @@ from .surgery import (
 )
 
 
-class CliInputError(Exception):
-    """Bad file, malformed JSON, or invalid parameter combination."""
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
-        raise CliInputError("%s: %s" % (path, exc.strerror or exc)) from None
+        raise ValueError("%s: %s" % (path, exc.strerror or exc)) from None
     except UnicodeDecodeError as exc:
-        raise CliInputError("%s: not UTF-8 text: %s at byte %d" % (path, exc.reason, exc.start)) from None
+        raise ValueError("%s: not UTF-8 text: %s at byte %d" % (path, exc.reason, exc.start)) from None
     except RecursionError:
-        raise CliInputError("%s: JSON nested too deeply" % path) from None
+        raise ValueError("%s: JSON nested too deeply" % path) from None
     except json.JSONDecodeError as exc:
-        raise CliInputError(
+        raise ValueError(
             "%s: malformed JSON at line %d, column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         ) from None
@@ -88,10 +84,10 @@ def _parse_range(text: str) -> range:
     errors pass through."""
     bounds = text.split("..")
     if len(bounds) != 2:
-        raise CliInputError("range must look like A..B (inclusive), got %s" % _clip(repr(text)))
+        raise ValueError("range must look like A..B (inclusive), got %s" % _clip(repr(text)))
     lo, hi = map(_parse_int, bounds)
     if lo > hi:
-        raise CliInputError("range %s is empty" % _clip(text))
+        raise ValueError("range %s is empty" % _clip(text))
     return range(lo, hi + 1)
 
 
@@ -160,7 +156,7 @@ def _cmd_family_x(args) -> tuple[int, str]:
 
 def _cmd_lemma_homeo(args) -> tuple[int, str]:
     if args.max_p < 1:
-        raise CliInputError("--max-p must be >= 1")
+        raise ValueError("--max-p must be >= 1")
     ps = range(args.max_p + 1)
     manifolds = [x_family(p).manifold for p in ps]
     classes = homeo_classes(manifolds)
@@ -431,7 +427,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, out = args.func(args)
-    except (CliInputError, ValueError) as exc:
+    except ValueError as exc:
         message = str(exc)
         if "integer string conversion;" in message:  # CPython's int-to-str digit limit
             limit = sys.get_int_max_str_digits()
@@ -444,3 +440,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -18,9 +18,6 @@ from .intlin import (
 # Steps per cycle walk before a rank-2 comparison is left undecided.
 _RHO_STEP_CAP = 1 << 20
 
-# |x|, |y| bound of the v.v = c enumeration when the solution set is not finite.
-_BOX = 100
-
 
 class QuadraticForm(_Checked, namedtuple("QuadraticForm", "gram labels")):
     """Integral symmetric bilinear form with optional basis labels."""
@@ -217,9 +214,9 @@ def _rho(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
 class SquareSolutions(NamedTuple):
     """Solutions of v.v = c on a rank-2 form.
 
-    ``complete`` marks whether ``vectors`` is the full solution set (the set
-    is finite) or only its part in the box |x|, |y| <= 100 (the set is empty
-    or infinite and solve_square does not decide which).
+    ``complete`` marks whether ``vectors`` is the full solution set.  When it
+    is False, ``vectors`` is empty: the set is empty or infinite and
+    solve_square does not decide which.
     """
 
     vectors: tuple[tuple[int, int], ...]
@@ -244,19 +241,20 @@ def solve_square(F: QuadraticForm, c: int) -> SquareSolutions:
     2bx + dy after moving an isotropic basis vector first, else k = a and the
     factors ax + (b -+ r)y; each signed divisor u of kc gives one linear
     system.  If D < 0, y runs along the axis with the smaller |diagonal| entry,
-    y^2 <= min(|a|, |d|) |c| / -D, and x is a root of a quadratic.  Both sets
-    are finite and returned complete.  Otherwise the set is empty or infinite,
-    and only the box |x|, |y| <= 100 is enumerated, flagged as incomplete.
+    y^2 <= min(|a|, |d|) |c| / -D, and x is a root of a quadratic.  If D > 0
+    is not a square, a Q = 0 only at (0, 0), the one solution of c = 0.
+    These sets are finite and returned complete.  Any other set is empty or
+    infinite, and is returned empty and incomplete.
     """
     if F.rank != 2:
         raise ValueError("solve_square requires a rank-2 form")
     (a, b), (_, d) = F.gram.entries
     D = b * b - a * d
     r = isqrt(max(D, 0))
+    if D > 0 and r * r != D and c == 0:
+        return SquareSolutions(((0, 0),), complete=True)
     if not (D < 0 or D > 0 and r * r == D and c != 0):
-        box = range(-_BOX, _BOX + 1)
-        sols = [(x, y) for x in box for y in box if a * x * x + 2 * b * x * y + d * y * y == c]
-        return SquareSolutions(tuple(sols), complete=False)
+        return SquareSolutions((), complete=False)
     swap = abs(a) > abs(d) if D < 0 else d == 0
     a, d = (d, a) if swap else (a, d)
     sols = set()

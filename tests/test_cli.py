@@ -683,6 +683,22 @@ def test_module_entry_point_runs():
     assert result.stdout == "-1/2\n"
 
 
+def test_both_module_forms_report_a_false_certificate():
+    # one member cannot show the bounds increase, so the certificate fails
+    # and exits 1 whichever module is run
+    results = [
+        subprocess.run(
+            [sys.executable, "-m", module, "certificate", "--parity", "odd", "--q-range", "1..1"],
+            capture_output=True,
+            text=True,
+        )
+        for module in ("steincheck", "steincheck.cli")
+    ]
+    assert [result.returncode for result in results] == [1, 1]
+    assert results[0].stdout == results[1].stdout
+    assert "conclusion: FALSE" in results[0].stdout
+
+
 def test_repeated_module_runs_are_byte_identical():
     args = [
         sys.executable,

@@ -257,11 +257,21 @@ class TestClassRigidity:
     def test_untransformed_member(self):
         assert class_rigidity(x_family(0))
 
-    def test_isotropic_square_zero_fails(self):
-        # b = 0 gives infinitely many isotropic vectors, so the bounded
-        # enumeration cannot certify rigidity
-        member = synthetic_member([[0, 1], [1, 0]], (0, 1))
+    # solution sets solve_square leaves undecided: empty or infinite, never {s, -s}
+    UNDECIDED = {
+        "degenerate": ([[1, 0], [0, 0]], (1, 0)),  # D = 0: every (+-1, y)
+        "non-square-D": ([[1, 0], [0, -2]], (1, 0)),  # x^2 - 2y^2 = 1: Pell's orbit
+        "isotropic-square-zero": ([[0, 1], [1, 0]], (0, 1)),  # c = 0 on D = 1: both axes
+    }
+
+    @pytest.mark.parametrize("kind", list(UNDECIDED))
+    def test_undecided_set_fails(self, kind):
+        member = synthetic_member(*self.UNDECIDED[kind])
         assert not class_rigidity(member)
+
+    def test_zero_class_on_anisotropic_form(self):
+        # x^2 - 7y^2 = 0 only at the origin, so the zero class is rigid
+        assert class_rigidity(synthetic_member([[1, 0], [0, -7]], (0, 0)))
 
 
 class TestInfinitudeReport:

@@ -316,11 +316,15 @@ class TestSolveSquare:
         assert sols.complete
         assert set(sols.vectors) == set()
 
-    def test_isotropic_c_zero_is_bounded_only(self):
+    def test_isotropic_c_zero_is_undecided(self):
+        # the axes are isotropic lines, so the set is infinite and none is listed
         sols = solve_square(Q([[0, 1], [1, 0]]), 0)
-        assert not sols.complete
-        assert (3, 0) in sols.vectors and (0, -4) in sols.vectors
-        assert (100, 0) in sols.vectors and (101, 0) not in sols.vectors
+        assert not sols.complete and sols.vectors == ()
+
+    def test_anisotropic_c_zero_is_the_origin(self):
+        # x^2 - 7 y^2 = 0 only at (0, 0), since 7 is not a square
+        sols = solve_square(Q([[1, 0], [0, -7]]), 0)
+        assert sols.complete and sols.vectors == ((0, 0),)
 
     def test_mirrored_isotropic_basis_vector(self):
         # same equation with the roles of the two basis vectors swapped
@@ -398,33 +402,43 @@ class TestSolveSquare:
                 assert len(solve_square(Q(gram), 10**12).vectors) == 28
             assert sum(steps) == 2001, gram  # |y| <= 1000
 
-    def test_completeness_and_solutions_on_all_small_forms(self):
-        """Complete exactly when D = b^2 - ad < 0, or D is a nonzero square and
-        c != 0, and equal to the sweep oracle; every form with entries in
-        [-4, 4] and c in [-15, 15], the infinite or empty sets sampled."""
-        rng = random.Random(5)
-        infinite = {"D = 0": [], "D > 0 not a square": [], "c = 0, D a nonzero square": []}
+    def test_completeness_and_solutions_on_all_small_forms(self, monkeypatch):
+        """Complete exactly when D = b^2 - ad < 0, D is a nonzero square and
+        c != 0, or c = 0 and D > 0 is not a square, and then equal to the sweep
+        oracle; otherwise empty, found without a loop step.  Every form with
+        entries in [-4, 4] and c in [-15, 15]."""
+        steps = []
+
+        def counted(*args):
+            steps.append(len(range(*args)))
+            return range(*args)
+
+        monkeypatch.setattr(quadform, "range", counted, raising=False)
         for a, b, d in itertools.product(range(-4, 5), repeat=3):
             D = b * b - a * d
+            square = isqrt(max(D, 0)) ** 2 == D
             for c in range(-15, 16):
-                finite = D < 0 or (D > 0 and isqrt(D) ** 2 == D and c != 0)
-                if not finite:
-                    kind = "D = 0" if D == 0 else "c = 0, D a nonzero square" if c == 0 else "D > 0 not a square"
-                    infinite[kind].append(([[a, b], [b, d]], c))
-                    continue
+                steps.clear()
                 sols = solve_square(Q([[a, b], [b, d]]), c)
+                searched = D < 0 or (D > 0 and square and c != 0)
+                anisotropic_zero = D > 0 and not square and c == 0
+                if not searched:
+                    assert sum(steps) == 0, (a, b, d, c)
+                if not (searched or anisotropic_zero):
+                    assert not sols.complete and sols.vectors == (), (a, b, d, c)
+                    continue
                 # Bounds on every solution: for D < 0 the smaller eigenvalue is
                 # at least -D / |a + d|, so x^2 + y^2 <= |c (a + d) / D|.  For
                 # D = r^2 the factors u = ax + (b - r)y, w = ax + (b + r)y of ac
                 # give |y| = |u - w| / 2r <= (|ac| + 1) / 2, and |x| likewise;
-                # when a = 0, y divides c and |x| <= (1 + |d|)|c| / 2.
-                bound = isqrt(abs(c * (a + d)) // -D) if D < 0 else (5 * abs(c) + 1) // 2
+                # when a = 0, y divides c and |x| <= (1 + |d|)|c| / 2.  For
+                # c = 0 on a non-square D the sweep checks the box |x|, |y| <= 100.
+                if D < 0:
+                    bound = isqrt(abs(c * (a + d)) // -D)
+                else:
+                    bound = 100 if anisotropic_zero else (5 * abs(c) + 1) // 2
                 assert sols.complete, (a, b, d, c)
                 assert set(sols.vectors) == sweep_square_solutions([[a, b], [b, d]], c, bound), (a, b, d, c)
-        for gram, c in (case for cases in infinite.values() for case in rng.sample(cases, 4)):
-            sols = solve_square(Q(gram), c)
-            assert not sols.complete, (gram, c)
-            assert set(sols.vectors) == sweep_square_solutions(gram, c, 100), (gram, c)
 
     def test_isotropic_forms_factor_c_not_ac(self, monkeypatch):
         # moving the isotropic basis vector first keeps the divisor search at
