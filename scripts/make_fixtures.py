@@ -2,10 +2,11 @@
 """Regenerate everything under fixtures/.
 
 The framed-link files are inputs for the d3 / homology subcommands; the
-family files are the manifold fixtures (chi and sigma are fixture data
-derived from handle counts, see the meta notes).  ``build()`` returns each
-file's text without writing anything, so a test can compare it with the
-committed file; ``main()`` writes the files.
+family files are the manifold fixtures (their euler = 2 and sig = 0 are
+stored values that no decision reads, and euler = 2 is not 1 + b2; see the
+meta notes).  ``build()`` returns each file's text without writing
+anything, so a test can compare it with the committed file; ``main()``
+writes the files.
 """
 
 import json

@@ -1,10 +1,10 @@
 """Handle-decomposition data: framed-link invariants, boundary homology,
 Stein framing checks, first Chern class arithmetic, and the d3 invariant.
 
-A FramedLinkPresentation is a 2-handlebody on a single 0-handle; manifolds
-whose descriptions need 1-handles enter only as AlgebraicFourManifold
-fixtures carrying their intersection form, c1, Euler characteristic, and
-signature.
+A FramedLinkPresentation is a 2-handlebody on a single 0-handle; other
+manifolds enter only as AlgebraicFourManifold fixtures carrying their
+intersection form and c1, with a stored Euler characteristic and signature
+that no decision reads (the family's stored euler = 2 is not 1 + b2).
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intlin import (
     AbelianGroup,
     DegenerateLinkingFormError,
     IntMatrix,
-    _Checked,
+    _Record,
     _symmetric_bareiss,
     cokernel,
     matrix_from_json,
@@ -32,7 +32,7 @@ D3_TORSION_WARNING = ("d3 computed for a boundary that is not a homology sphere;
                       "the value depends on the chosen lift of c1 over torsion")
 
 
-class FramedLinkPresentation(_Checked, namedtuple("FramedLinkPresentation", "linking rot tb")):
+class FramedLinkPresentation(_Record, namedtuple("FramedLinkPresentation", "linking rot tb")):
     """Framed link of 2-handle attaching circles.
 
     ``linking`` holds linking numbers off the diagonal and framings on it;
@@ -74,7 +74,7 @@ class FramedLinkPresentation(_Checked, namedtuple("FramedLinkPresentation", "lin
         )
 
 
-class AlgebraicFourManifold(_Checked, namedtuple(
+class AlgebraicFourManifold(_Record, namedtuple(
         "AlgebraicFourManifold",
         "form c1 euler sig simply_connected boundary_homology_sphere name stein")):
     """Algebraic shadow of a compact 4-manifold with boundary.
@@ -116,11 +116,10 @@ class AlgebraicFourManifold(_Checked, namedtuple(
         }
 
 
-class SteinFramingReport(NamedTuple):
+class SteinFramingReport(_Record, namedtuple("SteinFramingReport", "framing_ok parity_ok")):
     """Per-handle results of the Stein framing and parity checks."""
 
-    framing_ok: tuple[bool, ...]
-    parity_ok: tuple[bool, ...]
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

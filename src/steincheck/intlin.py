@@ -11,17 +11,17 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class DegenerateLinkingFormError(ValueError):
     """Raised when a singular matrix blocks an exact linear solve."""
 
 
-class _Checked:
-    """Base of the named-tuple records whose constructor checks its fields:
-    ``_make``, and so ``_replace``, build through the constructor, and the
-    tuple ``+`` and ``*`` are refused."""
+class _Record:
+    """Base of every named-tuple record: ``_make``, and so ``_replace``, build
+    through the constructor, and the tuple ``+`` and ``*`` are refused with
+    the record on either side."""
 
     __slots__ = ()
 
@@ -34,8 +34,13 @@ class _Checked:
 
     __mul__ = __rmul__ = __add__
 
+    def __radd__(self, other):
+        # NotImplemented here would let tuple + record concatenate
+        raise TypeError("unsupported operand type(s) for +: '%s' and '%s'"
+                        % (type(other).__name__, type(self).__name__))
 
-class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
+
+class IntMatrix(_Record, namedtuple("IntMatrix", "rows cols entries")):
     """Immutable integer matrix, row-major, with unbounded entries."""
 
     __slots__ = ()
@@ -102,29 +107,23 @@ class IntMatrix(_Checked, namedtuple("IntMatrix", "rows cols entries")):
         return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
 
 
-class SmithDecomposition(NamedTuple):
+class SmithDecomposition(_Record, namedtuple("SmithDecomposition", "U D V")):
     """U @ A @ V = D with U, V unimodular and D in Smith normal form."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ()
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.D.rows, self.D.cols)
         return tuple(self.D.entries[i][i] for i in range(n))
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal() if d != 0)
 
-
-class AbelianGroup(NamedTuple):
+class AbelianGroup(_Record, namedtuple("AbelianGroup", "free_rank torsion")):
     """Finitely generated abelian group Z^free_rank + sum of Z/d_i.
 
     The torsion orders are the invariant factors > 1, in divisibility order.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def is_trivial(self) -> bool:

@@ -5,9 +5,11 @@ infinitely many smooth structures in one homeomorphism type."""
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 from .handle import AlgebraicFourManifold, chern_eval
+from .intlin import _Record
 from .quadform import classify, is_isomorphic, pairing, solve_square
 from .surgery import LogTransformFamilyMember, family_parameter, x_family
 
@@ -19,17 +21,15 @@ CLASS_RIGIDITY_NOTE = (
 )
 
 
-class GenusBound(NamedTuple):
+class GenusBound(_Record, namedtuple(
+        "GenusBound", "class_coords self_intersection c1_pairing lower_bound")):
     """Adjunction lower bound for the genus of embedded surfaces in a class.
 
     lower_bound = max(0, ceil((|c1.v| + v.v + 2) / 2)), from the adjunction
     inequality 2g - 2 >= v.v + |c1.v| for Stein domains.
     """
 
-    class_coords: tuple[int, ...]
-    self_intersection: int
-    c1_pairing: int
-    lower_bound: int
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -40,7 +40,9 @@ class GenusBound(NamedTuple):
         }
 
 
-class InfinitudeCertificate(NamedTuple):
+class InfinitudeCertificate(_Record, namedtuple(
+        "InfinitudeCertificate", "family_label parity parameters bounds rigidity "
+        "all_homeomorphic bounds_increasing conclusion members")):
     """Machine-checked record that a family contains infinitely many
     pairwise homeomorphic but mutually distinct smooth structures.
 
@@ -51,15 +53,7 @@ class InfinitudeCertificate(NamedTuple):
     checked members; the JSON form leaves out those two fields.
     """
 
-    family_label: str
-    parity: str
-    parameters: tuple[int, ...]
-    bounds: tuple[int, ...]
-    rigidity: tuple[bool, ...]
-    all_homeomorphic: bool
-    bounds_increasing: bool
-    conclusion: bool
-    members: tuple[LogTransformFamilyMember, ...]
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -114,7 +108,7 @@ def homeo_decide(M: AlgebraicFourManifold, N: AlgebraicFourManifold) -> str:
     return "inapplicable"
 
 
-class HomeoClasses(NamedTuple):
+class HomeoClasses(_Record, namedtuple("HomeoClasses", "class_of representatives between")):
     """A list of manifolds split into homeomorphism classes.
 
     ``class_of[i]`` is the class of the i-th manifold, ``representatives[c]``
@@ -124,9 +118,7 @@ class HomeoClasses(NamedTuple):
     class has no other member), and otherwise their homeo_decide verdict.
     """
 
-    class_of: tuple[int, ...]
-    representatives: tuple[AlgebraicFourManifold, ...]
-    between: dict[tuple[int, int], str]
+    __slots__ = ()
 
     def verdict(self, i: int, j: int) -> str:
         """The verdict for the i-th and j-th manifolds, read off their

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, isqrt
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intlin import (
     IntMatrix,
-    _Checked,
+    _Record,
     _symmetric_bareiss,
     matrix_from_json,
     matrix_to_json,
@@ -19,7 +19,7 @@ from .intlin import (
 _RHO_STEP_CAP = 1 << 20
 
 
-class QuadraticForm(_Checked, namedtuple("QuadraticForm", "gram labels")):
+class QuadraticForm(_Record, namedtuple("QuadraticForm", "gram labels")):
     """Integral symmetric bilinear form with optional basis labels."""
 
     _class: Optional["FormClass"] = None  # classify sets it on the instance, outside the fields
@@ -62,15 +62,12 @@ class QuadraticForm(_Checked, namedtuple("QuadraticForm", "gram labels")):
         return cls(matrix_from_json(obj["gram"]), labels)
 
 
-class FormClass(NamedTuple):
-    """Classification data of an integral symmetric form."""
+class FormClass(_Record, namedtuple(
+        "FormClass", "rank signature parity definiteness unimodular determinant")):
+    """Classification data of an integral symmetric form; ``determinant`` is
+    0 for a degenerate form."""
 
-    rank: int
-    signature: int
-    parity: str
-    definiteness: str
-    unimodular: bool
-    determinant: int  # 0 for a degenerate form
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -211,7 +208,7 @@ def _rho(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
     return c, b2, (b2 * b2 - D) // c
 
 
-class SquareSolutions(NamedTuple):
+class SquareSolutions(_Record, namedtuple("SquareSolutions", "vectors complete")):
     """Solutions of v.v = c on a rank-2 form.
 
     ``complete`` marks whether ``vectors`` is the full solution set.  When it
@@ -219,8 +216,7 @@ class SquareSolutions(NamedTuple):
     solve_square does not decide which.
     """
 
-    vectors: tuple[tuple[int, int], ...]
-    complete: bool
+    __slots__ = ()
 
     def is_plus_minus(self, s: tuple[int, int]) -> bool:
         """Whether the set is provably {s, -s}: complete and nothing else."""

@@ -6,13 +6,13 @@ homology family V_p."""
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .handle import AlgebraicFourManifold
 from .intlin import (
     AbelianGroup,
     IntMatrix,
-    _Checked,
+    _Record,
     cokernel,
     congruence_transform,
     determinant,
@@ -21,7 +21,7 @@ from .intlin import (
 from .quadform import QuadraticForm
 
 
-class LogTransformFamilyMember(NamedTuple):
+class LogTransformFamilyMember(_Record, namedtuple("LogTransformFamilyMember", "p manifold s_class")):
     """One member X_p of the log-transform family.
 
     The manifold carries the intersection form [[0,1],[1,-2p^2+p-3]] in the
@@ -34,9 +34,7 @@ class LogTransformFamilyMember(NamedTuple):
     arbitrary data so that degenerate examples can be probed.
     """
 
-    p: int
-    manifold: AlgebraicFourManifold
-    s_class: tuple[int, int]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -79,7 +77,7 @@ def x_family(p: int) -> LogTransformFamilyMember:
     manifold = AlgebraicFourManifold(
         form=form,
         c1=c1,
-        euler=2,  # one 0-handle, two 1-handles, three 2-handles
+        euler=2,  # stored, read by no decision; not 1 + b2 = 3
         sig=0,
         simply_connected=True,
         boundary_homology_sphere=True,
@@ -117,9 +115,10 @@ def normalized_form(member: LogTransformFamilyMember) -> QuadraticForm:
 
 FIXTURE_NOTES = {
     "euler_sig": (
-        "euler = 2 and sig = 0 are fixture data for the rank-2 family: they "
-        "come from the handle counts (one 0-handle, two 1-handles, three "
-        "2-handles) and the stated intersection form, not from diagram data"
+        "euler = 2 and sig = 0 are stored fixture data for the rank-2 family "
+        "that no decision reads; sig = 0 is the signature of the stated "
+        "intersection form, but euler = 2 is not 1 + b2 = 3, the Euler "
+        "characteristic of a simply connected member with b2 = 2"
     ),
     "stein": (
         "the stein flag records that members carry Stein structures coming "
@@ -129,7 +128,7 @@ FIXTURE_NOTES = {
 }
 
 
-class TorusMappingClass(_Checked, namedtuple("TorusMappingClass", "matrix")):
+class TorusMappingClass(_Record, namedtuple("TorusMappingClass", "matrix")):
     """Isotopy class of an orientation-preserving self-diffeomorphism of the
     3-torus, recorded by its action on H1 = Z^3.
 

@@ -68,7 +68,7 @@ class TestSmithNormalForm:
         # relator (0, p) on Z^2 gives Z + Z/p
         A = M([[0], [5]])
         snf = check_snf(A)
-        assert snf.invariant_factors() == (5,)
+        assert snf.diagonal() == (5,)
         assert cokernel(A) == AbelianGroup(free_rank=1, torsion=(5,))
 
     def test_identity(self):
@@ -94,7 +94,7 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 4)
             a = random_int_matrix(rng, rows, cols, -9, 9)
             snf = check_snf(M(a))
-            assert list(snf.invariant_factors()) == minor_gcd_invariant_factors(a)
+            assert [d for d in snf.diagonal() if d != 0] == minor_gcd_invariant_factors(a)
 
     def test_cokernel_torsion_order_is_abs_det(self):
         rng = random.Random(977)

@@ -1,11 +1,13 @@
 """The record contract shared by every public record class: equal values
 compare and hash equal, fields cannot be assigned, the constructor takes its
-fields by position and by keyword in the listed order, and it refuses bad
-input with its message.  Every to_json_obj result is plain JSON data, so no
-record reaches json.dumps, which would write it as an array."""
+fields by position and by keyword in the listed order, it refuses bad
+input with its message, and tuple + and * raise TypeError on either side.
+Every to_json_obj result is plain JSON data, so no record reaches
+json.dumps, which would write it as an array."""
 
 import pytest
 
+from steincheck import cli, handle, intlin, obstruct, quadform, surgery
 from steincheck.handle import (
     AlgebraicFourManifold,
     FramedLinkPresentation,
@@ -16,6 +18,7 @@ from steincheck.intlin import (
     AbelianGroup,
     IntMatrix,
     SmithDecomposition,
+    _Record,
     cokernel,
     smith_normal_form,
 )
@@ -29,6 +32,9 @@ from steincheck.obstruct import (
 )
 from steincheck.quadform import FormClass, QuadraticForm, SquareSolutions, classify, solve_square
 from steincheck.surgery import LogTransformFamilyMember, TorusMappingClass, fp_matrix, x_family
+
+
+MODULES = (intlin, quadform, handle, surgery, obstruct, cli)
 
 
 def form():
@@ -117,9 +123,6 @@ def test_constructor_refuses_bad_input(build, message):
     assert str(info.value) == message
 
 
-# the records whose constructor checks its fields
-CHECKED = (IntMatrix, QuadraticForm, FramedLinkPresentation, AlgebraicFourManifold, TorusMappingClass)
-
 BAD_REPLACE = [
     (lambda: IntMatrix.from_rows([[1, 2], [2, 1]])._replace(rows=5), "row count does not match entries"),
     (lambda: IntMatrix._make((2, 2, ((1, 2), (3,)))), "ragged rows in matrix entries"),
@@ -139,13 +142,25 @@ def test_replace_and_make_run_the_constructor_checks(build, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 def test_checked_records_refuse_tuple_arithmetic(cls):
     a = RECORDS[cls][0]()
-    for op in (lambda: a + a, lambda: 2 * a, lambda: a * 2):
+    for op in (lambda: a + a, lambda: 2 * a, lambda: a * 2, lambda: (1,) + a):
         with pytest.raises(TypeError):
             op()
     assert a._replace() == a and type(a._replace()) is cls
+    # only QuadraticForm keeps an instance dict, for the class classify stores on it
+    assert hasattr(a, "__dict__") == (cls is QuadraticForm)
+
+
+def test_records_lists_every_record_class():
+    """Every tuple subclass the modules define is in RECORDS, so a record added
+    later runs the contract tests too."""
+    defined = {cls for module in MODULES for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, tuple)
+               and cls.__module__ == module.__name__}
+    assert defined == set(RECORDS)
+    assert all(issubclass(cls, _Record) for cls in RECORDS)
 
 
 def plain_json(obj) -> bool:
