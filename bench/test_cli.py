@@ -26,6 +26,8 @@ COMMANDS = {
     "form-iso": ["form", "iso", str(FIXTURES / "x_form.json"), str(FIXTURES / "x2_form.json")],
     "family-x": ["family", "x", "--p-range", "0..10", "--output", "json"],
     "certificate": ["certificate", "--parity", "odd", "--q-range", "1..10"],
+    # the 45-member call that sets the family workload's call_p90_ms
+    "certificate-csv": ["certificate", "--parity", "odd", "--q-range", "22..66", "--output", "csv"],
     "lemma-homeo": ["lemma", "homeo", "--max-p", "12"],
     "lemma-basis-restriction": ["lemma", "basis-restriction", "--p", "40", "--output", "json"],
     "genus-bound": ["genus-bound", "--parity", "odd", "--q-range", "1..50", "--output", "csv"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .intlin import (
@@ -171,7 +172,7 @@ def chern_eval(M: AlgebraicFourManifold, v: Sequence[int]) -> int:
     """Evaluation of c1 on the class with coordinates v."""
     if len(v) != M.form.rank:
         raise ValueError("vector length does not match the rank of the form")
-    return sum(M.c1[i] * v[i] for i in range(len(v)))
+    return sum(map(mul, M.c1, v))
 
 
 def _d3_terms(L: FramedLinkPresentation) -> tuple[Fraction, Fraction, int, int]:

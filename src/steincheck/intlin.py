@@ -75,10 +75,7 @@ class IntMatrix(_Record, namedtuple("IntMatrix", "rows cols entries")):
 
     @property
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
+        return self.is_square and self.entries == tuple(zip(*self.entries))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
@@ -399,7 +396,15 @@ def _symmetric_bareiss(m: list[list[int]], n: int) -> tuple[int, int, int, int]:
     With no zero count the last pivot is the leading block's determinant and a
     trailing m[i][j] ends as the minor bordering it with row i and column j.
     Only the upper triangle is updated; the lower one is restored where a move
-    reads it."""
+    reads it.  A lone 2 x 2 block is answered in closed form from
+    det = ac - b^2, which it returns as the last pivot, and from the trace
+    a + c, the one nonzero eigenvalue when det = 0."""
+    if n == len(m) == 2:
+        (a, b), (_, c) = m
+        det, t = a * c - b * b, a + c
+        if det:
+            return (1, 1, 0, det) if det < 0 else (2, 0, 0, det) if a > 0 else (0, 2, 0, det)
+        return (1, 0, 1, 0) if t > 0 else (0, 1, 1, 0) if t < 0 else (0, 0, 2, 0)
     neg = zero = 0
     prev = 1
     for k in range(n):

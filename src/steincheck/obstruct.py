@@ -9,9 +9,9 @@ from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .handle import AlgebraicFourManifold, chern_eval
-from .intlin import _Record
-from .quadform import classify, is_isomorphic, pairing, solve_square
-from .surgery import LogTransformFamilyMember, family_parameter, x_family
+from .intlin import IntMatrix, _Record
+from .quadform import QuadraticForm, classify, is_isomorphic, pairing, solve_square
+from .surgery import LogTransformFamilyMember, _shear, family_parameter, x_family
 
 CLASS_RIGIDITY_NOTE = (
     "The distinguished class is, up to sign, the only class of its square, "
@@ -71,7 +71,7 @@ class InfinitudeCertificate(_Record, namedtuple(
 def adjunction_lower_bound(M: AlgebraicFourManifold, v: Sequence[int]) -> GenusBound:
     """Genus lower bound for smoothly embedded closed surfaces representing
     the nonzero class v in a Stein-flagged manifold."""
-    if all(x == 0 for x in v):
+    if not any(v):
         raise ValueError("adjunction requires a homologically essential class")
     if not M.stein:
         raise ValueError("adjunction bound requires a manifold flagged as Stein")
@@ -161,9 +161,11 @@ def class_rigidity(member: LogTransformFamilyMember) -> bool:
     """Whether the distinguished class is, up to sign, the unique class of
     its square.  True only when the solution set is provably complete and
     equals {s, -s}."""
-    s = member.s_class
-    c = pairing(member.manifold.form, s, s)
-    return solve_square(member.manifold.form, c).is_plus_minus(s)
+    return _is_rigid(member.manifold.form, member.s_class)
+
+
+def _is_rigid(form: QuadraticForm, s: tuple[int, int]) -> bool:
+    return solve_square(form, pairing(form, s, s)).is_plus_minus(s)
 
 
 def infinitude_report(parity: str, q_range: Iterable[int]) -> InfinitudeCertificate:
@@ -173,6 +175,10 @@ def infinitude_report(parity: str, q_range: Iterable[int]) -> InfinitudeCertific
     family).  The checks are exactly the ingredients of the finiteness
     argument: pairwise homeomorphism, class rigidity, and strictly
     increasing genus lower bounds on the distinguished classes.
+
+    Rigidity is decided once per distinct pair (N, w), for N = B^T F B and
+    w = B^-1 s with the member's shear B = [[1, k], [0, 1]]: B has det 1, so
+    v -> B^-1 v maps {v : v.v = c} on F onto {u : u.u = c} on N and s onto w.
     """
     # family_parameter checks parity and each q as the members are built, so
     # the first bad q raises before the rest of q_range is read
@@ -182,7 +188,14 @@ def infinitude_report(parity: str, q_range: Iterable[int]) -> InfinitudeCertific
     if any(a.p >= b.p for a, b in zip(members, members[1:])):
         raise ValueError("q_range must be strictly increasing")
     bounds = [adjunction_lower_bound(m.manifold, m.s_class).lower_bound for m in members]
-    rigidity = [class_rigidity(m) for m in members]
+    rigid = {}  # (N, w) -> verdict, kept for this call only
+    rigidity = []
+    for m in members:
+        s0, s1 = m.s_class
+        N, w = _shear(m.manifold.form.gram, m.k), (s0 - m.k * s1, s1)
+        if (N, w) not in rigid:
+            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w)
+        rigidity.append(rigid[N, w])
     classes = homeo_classes([m.manifold for m in members])
     all_homeo = len(classes.representatives) == 1 and classes.verdict(0, 0) == "homeomorphic"
     increasing = all(bounds[i] < bounds[i + 1] for i in range(len(bounds) - 1))

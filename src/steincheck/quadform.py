@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, isqrt
+from operator import mul
 from typing import Optional, Sequence
 
 from .intlin import (
@@ -120,8 +121,7 @@ def pairing(F: QuadraticForm, u: Sequence[int], v: Sequence[int]) -> int:
     """The bilinear pairing u.v = u^T gram v."""
     if len(u) != F.rank or len(v) != F.rank:
         raise ValueError("vector length does not match the rank of the form")
-    g = F.gram.entries
-    return sum(u[i] * g[i][j] * v[j] for i in range(F.rank) for j in range(F.rank))
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(u, F.gram.entries))
 
 
 def is_isomorphic(F: QuadraticForm, G: QuadraticForm) -> str:

@@ -14,7 +14,6 @@ from .intlin import (
     IntMatrix,
     _Record,
     cokernel,
-    congruence_transform,
     determinant,
     vector_to_json,
 )
@@ -66,10 +65,8 @@ def x_family(p: int) -> LogTransformFamilyMember:
         s_class = (0, 1)
         name = "X"
     else:
-        form = QuadraticForm.from_rows(
-            [[0, 1], [1, -2 * p * p + p - 3]],
-            labels=("T_%d" % p, "R_%d" % p),
-        )
+        form = QuadraticForm(IntMatrix(2, 2, ((0, 1), (1, -2 * p * p + p - 3))),
+                             ("T_%d" % p, "R_%d" % p))
         c1 = (0, -1 - p)
         q = (p + 1) // 2
         s_class = (p * p - q + 1, 1)
@@ -100,17 +97,22 @@ def family_parameter(parity: str, q: int) -> int:
 def normalized_form(member: LogTransformFamilyMember) -> QuadraticForm:
     """The member's form rewritten in the basis (T_p, S_p).
 
-    The basis change is B = [[1, k], [0, 1]]; the result is [[0,1],[1,-2]]
-    for odd p (and for p = 0) and [[0,1],[1,-1]] for even p >= 2.
+    The basis change is the shear B = [[1, k], [0, 1]]; the result is
+    [[0,1],[1,-2]] for odd p (and for p = 0) and [[0,1],[1,-1]] for even p >= 2.
     """
-    k = member.k
-    B = IntMatrix.from_rows([[1, k], [0, 1]])
-    gram = congruence_transform(member.manifold.form.gram, B)
     if member.p == 0:
         labels = ("T", "S")
     else:
         labels = ("T_%d" % member.p, "S_%d" % member.p)
-    return QuadraticForm(gram, labels)
+    return QuadraticForm(IntMatrix(2, 2, _shear(member.manifold.form.gram, member.k)), labels)
+
+
+def _shear(gram: IntMatrix, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The entries of B^T gram B for the shear B = [[1, k], [0, 1]] (det 1)
+    of a 2 x 2 gram."""
+    (a, b), (_, c) = gram.entries
+    ak_b = a * k + b
+    return (a, ak_b), (ak_b, (ak_b + b) * k + c)
 
 
 FIXTURE_NOTES = {

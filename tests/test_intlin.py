@@ -4,10 +4,12 @@ from math import gcd
 
 import pytest
 
+from steincheck import quadform
 from steincheck.intlin import (
     AbelianGroup,
     DegenerateLinkingFormError,
     IntMatrix,
+    _symmetric_bareiss,
     cokernel,
     congruence_transform,
     determinant,
@@ -295,6 +297,23 @@ class TestSignature:
                     if i != j or rng.random() < 0.4:
                         a[i][j] = a[j][i] = rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 7, -5])
             assert inertia(M(a)) == charpoly_inertia(a)
+
+    def test_two_by_two_closed_form_on_a_grid(self, monkeypatch):
+        # the lone 2 x 2 block is answered in closed form; bordering it with a
+        # zero row and column keeps the general loop on the same leading block
+        def loop(m, n):
+            return _symmetric_bareiss([row + [0] for row in m] + [[0] * (n + 1)], n)
+
+        grid = [[[a, b], [b, c]] for a in range(-6, 7) for b in range(-6, 7) for c in range(-6, 7)]
+        closed = [classify(QuadraticForm(M(g))) for g in grid]
+        for g in grid:
+            pos, neg, zero, det = _symmetric_bareiss([list(r) for r in g], 2)
+            assert (pos, neg, zero) == charpoly_inertia(g) == loop(g, 2)[:3]
+            assert det == fraction_determinant(g)
+            if not zero:  # the loop's last pivot is det only then
+                assert det == loop(g, 2)[3]
+        monkeypatch.setattr(quadform, "_symmetric_bareiss", loop)
+        assert [classify(QuadraticForm(M(g))) for g in grid] == closed
 
     def test_invariant_under_unimodular_congruence(self):
         rng = random.Random(1618)

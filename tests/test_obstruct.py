@@ -326,6 +326,56 @@ class TestInfinitudeReport:
         assert cert.conclusion
 
 
+def _entry_plus_one(m):
+    (_, _), (_, e) = m.manifold.form.gram.entries
+    form = QuadraticForm.from_rows([[0, 1], [1, e + 1]], m.manifold.form.labels)
+    return m._replace(manifold=m.manifold._replace(form=form))
+
+
+class TestTransportedRigidity:
+    """infinitude_report decides rigidity once per normal form N and class w =
+    B^-1 s, and must agree with class_rigidity on each member."""
+
+    MUTANTS = {
+        "s-is-(k, 2)": lambda m: m._replace(s_class=(m.k, 2)),
+        "s-is-(k+1, 1)": lambda m: m._replace(s_class=(m.k + 1, 1)),
+        "form-entry-plus-one": _entry_plus_one,
+    }
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_agrees_with_class_rigidity(self, parity):
+        cert = infinitude_report(parity, range(1, 201))
+        assert cert.rigidity == tuple(class_rigidity(m) for m in cert.members)
+        assert all(cert.rigidity)
+
+    @pytest.mark.parametrize("mutant", list(MUTANTS))
+    def test_agrees_on_mutated_members(self, monkeypatch, mutant):
+        # the members of odd q are mutated, so one call mixes both kinds
+        mutate = self.MUTANTS[mutant]
+        monkeypatch.setattr(obstruct, "x_family",
+                            lambda p: mutate(x_family(p)) if (p + 1) // 2 % 2 else x_family(p))
+        verdicts = []
+        for parity in ("odd", "even"):
+            cert = infinitude_report(parity, range(1, 201))
+            changed = [m != x_family(m.p) for m in cert.members]
+            assert changed == [q % 2 == 1 for q in range(1, 201)]
+            direct = tuple(class_rigidity(m) for m in cert.members)
+            assert cert.rigidity == direct
+            verdicts += direct
+        assert not all(verdicts)
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_one_solve_per_normal_form_and_none_kept_between_calls(self, monkeypatch, parity):
+        calls = []
+        solve = obstruct.solve_square
+        monkeypatch.setattr(obstruct, "solve_square", lambda F, c: calls.append(c) or solve(F, c))
+        infinitude_report(parity, range(1, 201))
+        first = len(calls)
+        assert 1 <= first <= 2
+        infinitude_report(parity, range(1, 201))
+        assert len(calls) == 2 * first
+
+
 class TestRendering:
     def test_text_report_mentions_all_steps(self):
         cert = infinitude_report("odd", range(1, 5))
