@@ -19,7 +19,9 @@ D), where ``solve_square`` answers without a loop step.
 ``test_is_isomorphic`` times one pass of ``is_isomorphic`` over a seeded list
 of pairs per kind: family forms of equal and of different parity (decided by
 the classes alone), same-determinant definite rank-2 pairs (decided by
-reduction) and rank-3 pairs B^T F B with equal invariants (undecided).
+reduction), indefinite rank-2 pairs of non-square D > 0 (decided by walking
+the whole cycle of reduced forms of each form, 34 to 6,322 forms long for
+x^2 - Dy^2) and rank-3 pairs B^T F B with equal invariants (undecided).
 ``test_infinitude_report`` builds the odd certificate over q = 1..50, 1..200
 and 1..800; ``extra_info["eliminations"]`` counts the ``_symmetric_bareiss``
 calls that ``classify`` makes in one report, measured in one separate, untimed
@@ -159,6 +161,13 @@ def iso_pairs(kind: str) -> list[tuple[QuadraticForm, QuadraticForm]]:
             for a, b, c in reduced:
                 G = congruence_transform(IntMatrix.from_rows([[a, b], [b, c]]), unimodular(rng, 2))
                 pairs.append((QuadraticForm(F), QuadraticForm(G)))
+    elif kind == "indefinite-rank-2":
+        # x^2 - Dy^2 for primes D = 3 mod 4, where x^2 - Dy^2 = -1 has no
+        # solution: "yes" against an image of itself, "no" against its negative
+        for D in (331, 1471, 10651, 100291, 1000651, 10000819):
+            F = IntMatrix.from_rows([[1, 0], [0, -D]])
+            pairs.append((QuadraticForm(F), QuadraticForm(congruence_transform(F, unimodular(rng, 2)))))
+            pairs.append((QuadraticForm(F), QuadraticForm.from_rows([[-1, 0], [0, D]])))
     else:
         for d in range(2, 52):
             F = IntMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, d]])
@@ -166,7 +175,7 @@ def iso_pairs(kind: str) -> list[tuple[QuadraticForm, QuadraticForm]]:
     return pairs
 
 
-@pytest.mark.parametrize("kind", ("family", "definite-rank-2", "undecided-rank-3"))
+@pytest.mark.parametrize("kind", ("family", "definite-rank-2", "indefinite-rank-2", "undecided-rank-3"))
 def test_is_isomorphic(benchmark, kind):
     pairs = iso_pairs(kind)
     benchmark.group = "is_isomorphic"
@@ -175,6 +184,8 @@ def test_is_isomorphic(benchmark, kind):
                                 verdicts={v: verdicts.count(v) for v in sorted(set(verdicts))})
     if kind == "undecided-rank-3":
         assert set(verdicts) <= {"undecided", "yes"}
+    elif kind == "indefinite-rank-2":
+        assert verdicts == ["yes", "no"] * (len(pairs) // 2)
     else:
         assert "undecided" not in verdicts
 

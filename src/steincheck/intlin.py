@@ -51,6 +51,8 @@ class IntMatrix(_Record, namedtuple("IntMatrix", "rows cols entries")):
         if len(entries) != rows:
             raise ValueError("row count does not match entries")
         for row in entries:
+            if not isinstance(row, tuple):
+                raise ValueError("matrix rows must be tuples")
             if len(row) != cols:
                 raise ValueError("ragged rows in matrix entries")
             for e in row:

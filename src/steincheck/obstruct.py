@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from .handle import AlgebraicFourManifold, chern_eval
 from .intlin import IntMatrix, _Record
-from .quadform import QuadraticForm, classify, is_isomorphic, pairing, solve_square
+from .quadform import QuadraticForm, classify, form_key, is_isomorphic, pairing, solve_square
 from .surgery import LogTransformFamilyMember, _shear, family_parameter, x_family
 
 CLASS_RIGIDITY_NOTE = (
@@ -111,11 +111,12 @@ def homeo_decide(M: AlgebraicFourManifold, N: AlgebraicFourManifold) -> str:
 class HomeoClasses(_Record, namedtuple("HomeoClasses", "class_of representatives between")):
     """A list of manifolds split into homeomorphism classes.
 
-    ``class_of[i]`` is the class of the i-th manifold, ``representatives[c]``
-    the first manifold of class c, and ``between[c, d]`` the verdict
-    between the two representatives: for c = d "homeomorphic", or
-    "inapplicable" when the representative fails the hypotheses (such a
-    class has no other member), and otherwise their homeo_decide verdict.
+    ``class_of[i]`` is the class of the i-th manifold, numbered in order of
+    first appearance, ``representatives[c]`` the first manifold of class c,
+    and ``between[c, d]`` the verdict between the two representatives: for
+    c = d "homeomorphic", or "inapplicable" when the representative fails
+    the hypotheses (such a class has no other member), and otherwise their
+    homeo_decide verdict.
     """
 
     __slots__ = ()
@@ -128,31 +129,26 @@ class HomeoClasses(_Record, namedtuple("HomeoClasses", "class_of representatives
 
 
 def homeo_classes(manifolds: Sequence[AlgebraicFourManifold]) -> HomeoClasses:
-    """Split manifolds into homeomorphism classes with one homeo_decide call
-    per manifold and earlier class representative, at most.
+    """Split manifolds into homeomorphism classes with one form_key call per
+    manifold that meets the hypotheses and one homeo_decide call per pair of
+    classes.
 
-    A manifold joins the first class whose representative it is
-    homeomorphic to, and otherwise opens a new class; by then it has been
-    compared with every earlier representative, so the verdicts between
-    representatives are all known.
+    A manifold that meets the hypotheses is grouped by the form_key of its
+    form, or by its Gram matrix where that key is None, since identical forms
+    are isomorphic; one that fails them keeps a class of its own.
     """
+    groups: dict = {}  # grouping key -> class
     class_of: list[int] = []
     representatives: list[AlgebraicFourManifold] = []
     between: dict[tuple[int, int], str] = {}
-    for M in manifolds:
-        verdicts = []
-        for c, rep in enumerate(representatives):
-            verdict = homeo_decide(rep, M)
-            if verdict == "homeomorphic":
-                class_of.append(c)
-                break
-            verdicts.append(verdict)
-        else:
-            new = len(representatives)
-            for c, v in enumerate(verdicts):
-                between[new, c] = between[c, new] = v
-            between[new, new] = "homeomorphic" if _hypotheses_hold(M) else "inapplicable"
-            class_of.append(new)
+    for i, M in enumerate(manifolds):
+        holds = _hypotheses_hold(M)
+        c = groups.setdefault(form_key(M.form) or M.form.gram.entries if holds else i, len(groups))
+        class_of.append(c)
+        if c == len(representatives):
+            between[c, c] = "homeomorphic" if holds else "inapplicable"
+            for d, rep in enumerate(representatives):
+                between[c, d] = between[d, c] = homeo_decide(rep, M)
             representatives.append(M)
     return HomeoClasses(tuple(class_of), tuple(representatives), between)
 

@@ -16,7 +16,7 @@ from .intlin import (
     matrix_to_json,
 )
 
-# Steps per cycle walk before a rank-2 comparison is left undecided.
+# Steps of form_key's cycle walk before it gives up on a rank-2 form.
 _RHO_STEP_CAP = 1 << 20
 
 
@@ -127,48 +127,46 @@ def pairing(F: QuadraticForm, u: Sequence[int], v: Sequence[int]) -> int:
 def is_isomorphic(F: QuadraticForm, G: QuadraticForm) -> str:
     """Decide integral equivalence; one of "yes", "no", "undecided".
 
-    Every field of ``classify`` is a congruence invariant, so any mismatch is a
-    definitive "no"; classify eliminates each form once and keeps its class on
-    it.  When the classes agree and both forms are unimodular and indefinite,
-    the classification of indefinite unimodular forms by (rank, signature,
-    parity) gives a definitive "yes".  Rank-2 forms are decided by reduction
-    (_binary_equivalent); anything that remains is reported as undecided.
+    Identical Gram matrices are a "yes" and differing classes a "no", since
+    every field of classify is a congruence invariant; otherwise the form_key
+    values decide, and a None key leaves the pair undecided.
     """
     if F.gram.entries == G.gram.entries:
         return "yes"
-    cf, cg = classify(F), classify(G)
-    if cf != cg:
+    if classify(F) != classify(G):
         return "no"
-    if cf.unimodular and cf.definiteness == "indefinite":
-        return "yes"
-    same = _binary_equivalent(F.gram, G.gram) if cf.rank == 2 else None
-    return "undecided" if same is None else "yes" if same else "no"
+    kf, kg = form_key(F), form_key(G)
+    return "undecided" if kf is None or kg is None else "yes" if kf == kg else "no"
 
 
-def _binary_equivalent(f: IntMatrix, g: IntMatrix) -> Optional[bool]:
-    """GL2(Z)-equivalence of Gram matrices [[a, b], [b, c]] of equal D = b^2 - ac.
-    Forms with D <= 0 or D a square have a unique reduced representative.
-    Otherwise G ~ F iff a reduced form of G or of its mirror lies on F's cycle
-    of reduced forms (Buell, Binary Quadratic Forms, ch. 3; Cohen, 5.6), which
-    grows like sqrt(D); None when that walk passes _RHO_STEP_CAP steps."""
-    (a, b), (_, c) = f.entries
-    (a2, b2), (_, c2) = g.entries
+def form_key(F: QuadraticForm) -> Optional[tuple]:
+    """A complete congruence invariant of F that starts with classify(F), or
+    None where none is known.  Rank <= 1 and indefinite unimodular forms are
+    fixed by their class.  A rank-2 [[a, b], [b, c]] with D = b^2 - ac <= 0 or
+    D a square has a unique reduced representative.  Otherwise the reduced
+    forms of F's class make up one _rho cycle, which grows like sqrt(D), and
+    their reversals (c, b, a) that of F's mirror: the least of both over one
+    walk is the key, None past _RHO_STEP_CAP steps (Buell, Binary Quadratic
+    Forms, ch. 3; Cohen, 5.6)."""
+    fc = classify(F)
+    if fc.rank < 2 or fc.unimodular and fc.definiteness == "indefinite":
+        return (fc,)
+    if fc.rank > 2:
+        return None
+    (a, b), (_, c) = F.gram.entries
     D = b * b - a * c
     s = isqrt(max(D, 0))
     if D < 0 or s * s == D:
-        return _canonical_binary(a, b, c, D) == _canonical_binary(a2, b2, c2, D)
-    reduced = []  # O(log |c|) steps reach 0 < b <= s, s - b < |a| <= s + b
-    for form in (a, b, c), (a2, b2, c2), (a2, -b2, c2):
-        while not (0 < form[1] <= s and s - form[1] < abs(form[0]) <= s + form[1]):
-            form = _rho(form, D, s)
-        reduced.append(form)
-    start = form = reduced[0]
+        return fc, _canonical_binary(a, b, c, D)
+    form = a, b, c  # O(log |c|) steps reach 0 < b <= s, s - b < |a| <= s + b
+    while not (0 < form[1] <= s and s - form[1] < abs(form[0]) <= s + form[1]):
+        form = _rho(form, D, s)
+    start, least = form, min(form, form[::-1])
     for _ in range(_RHO_STEP_CAP):
-        if form in reduced[1:]:
-            return True
         form = _rho(form, D, s)
         if form == start:
-            return False
+            return fc, least
+        least = min(least, form, form[::-1])
     return None
 
 

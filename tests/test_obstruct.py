@@ -157,6 +157,21 @@ def decisions(monkeypatch):
 
 
 @pytest.fixture
+def form_keys(monkeypatch):
+    """Every form_key call, made through obstruct or quadform."""
+    calls = []
+    key = quadform.form_key
+
+    def counting(F):
+        calls.append(F)
+        return key(F)
+
+    monkeypatch.setattr(obstruct, "form_key", counting)
+    monkeypatch.setattr(quadform, "form_key", counting)
+    return calls
+
+
+@pytest.fixture
 def eliminations(monkeypatch):
     """The rank of every classify elimination (quadform._symmetric_bareiss call)."""
     calls = []
@@ -172,10 +187,12 @@ def eliminations(monkeypatch):
 
 class TestHomeoClasses:
     @pytest.mark.parametrize("parity", ["odd", "even"])
-    def test_certificate_decisions_are_linear(self, capsys, decisions, parity):
+    def test_certificate_decisions_are_linear(self, capsys, decisions, form_keys, parity):
+        # one class: each member is grouped by its key, with no pairwise decision
         assert run(["certificate", "--parity", parity, "--q-range", "1..200"]) == 0
         capsys.readouterr()
-        assert 0 < len(decisions) <= 3 * 200
+        assert len(form_keys) == 200
+        assert decisions == []
 
     def test_lemma_homeo_decisions_are_linear(self, capsys, decisions):
         assert run(["lemma", "homeo", "--max-p", "80", "--output", "json"]) == 0

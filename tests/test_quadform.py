@@ -10,6 +10,7 @@ from steincheck.intlin import IntMatrix, congruence_transform, determinant
 from steincheck.quadform import (
     QuadraticForm,
     classify,
+    form_key,
     is_isomorphic,
     pairing,
     solve_square,
@@ -237,7 +238,9 @@ class TestBinaryReduction:
             if seen[case] < 50:
                 seen[case] += 1
                 F = binary((a, b, c))
-                assert is_isomorphic(F, random_image(rng, F)) == "yes", (a, b, c)
+                image = random_image(rng, F)
+                assert is_isomorphic(F, image) == "yes", (a, b, c)
+                assert form_key(F) == form_key(image) is not None, (a, b, c)
 
     def test_definite_classes_match_reduced_form_table(self):
         # positive definite for even det, negative definite for odd det
@@ -256,6 +259,8 @@ class TestBinaryReduction:
         forms = [(a, b, c) for a in range(-6, 7) for b in range(7) for c in range(-6, 7) if b * b > a * c]
         label = orbit_classes(forms, box=40)
         assert len(set(label.values())) == 182
+        keys = {form_key(binary(f)) for f in forms}
+        assert None not in keys and len(keys) == 182
         reps = {}
         for f in forms:
             reps.setdefault(label[f], f)
@@ -273,15 +278,29 @@ class TestBinaryReduction:
         # x^2 - 181y^2 has 42 reduced forms on its cycle, and (-1, 13, 12) lies
         # 21 steps along it.  x^2 + 12xy - 10y^2 and 5x^2 + 2xy - 9y^2 share
         # every invariant but lie on different cycles of 12 forms each.
+        # (-10, 4, 3) is the neighbour of the reduced form (1, 6, -10).
         far = (binary((1, 0, -181)), binary((-1, 13, 12)))
         apart = (binary((1, 6, -10)), binary((5, 1, -9)))
+        near = (binary((1, 6, -10)), binary((-10, 4, 3)))
         assert is_isomorphic(*far) == "yes"
         assert is_isomorphic(*apart) == "no"
+        assert is_isomorphic(*near) == "yes"
         monkeypatch.setattr(quadform, "_RHO_STEP_CAP", 4)
         assert is_isomorphic(*far) == "undecided"
         assert is_isomorphic(*apart) == "undecided"
-        # (-10, 4, 3) is the neighbour of the reduced form (1, 6, -10)
-        assert is_isomorphic(binary((1, 6, -10)), binary((-10, 4, 3))) == "yes"
+        # the key walks the whole cycle, so neighbours past the cap are undecided too
+        assert is_isomorphic(*near) == "undecided"
+
+    def test_key_starts_with_the_class(self):
+        # None only on rank-3 forms that are not indefinite unimodular
+        rng = random.Random(21)
+        for n in (1, 2, 3) * 200:
+            F = Q(random_symmetric_matrix(rng, n, -9, 9))
+            key, fc = form_key(F), classify(F)
+            if key is None:
+                assert n == 3 and not (fc.unimodular and fc.definiteness == "indefinite")
+            else:
+                assert key[0] == fc, F
 
 
 class TestPairing:

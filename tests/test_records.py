@@ -97,6 +97,7 @@ BAD_INPUT = [
     (lambda: IntMatrix(-1, 0, ()), "matrix dimensions must be nonnegative"),
     (lambda: IntMatrix(rows=2, cols=1, entries=((1,),)), "row count does not match entries"),
     (lambda: IntMatrix(2, 2, ((1, 2), (3,))), "ragged rows in matrix entries"),
+    (lambda: IntMatrix(2, 2, ([0, 1], [1, 0])), "matrix rows must be tuples"),
     (lambda: IntMatrix(1, 1, ((True,),)), "matrix entries must be integers"),
     (lambda: QuadraticForm(IntMatrix.from_rows([[0, 1], [2, 0]])), "Gram matrix must be symmetric"),
     (lambda: QuadraticForm(gram=form().gram, labels=("T",)), "label count must match the rank"),
