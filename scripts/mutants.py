@@ -1,19 +1,16 @@
 """Mutation harness: every committed mutant must make its listed tests fail.
 
-    python scripts/mutants.py                   # every mutant, in list order
-    python scripts/mutants.py --only NAME ...   # the named mutants
-    python scripts/mutants.py --list            # names, files and test files
-    python scripts/mutants.py --timeout 120     # seconds per pytest run (default 300)
+    python scripts/mutants.py    # every mutant, in list order
 
 A mutant is a file under src/steincheck, an exact snippet that occurs there
 once, its replacement, and the test files that must catch it.  Mutants run
 one at a time, never in parallel.  Each copies src/ to a fresh temporary
 directory, edits the copy, and runs ``python -m pytest -x -q`` on its test
 files from the repository root, with PYTHONPATH set to the copy and a time
-limit.  Pytest's exit code 1 (a test failed) reads "killed", 0 "survived",
-and the time limit "timed out"; any other exit code (a collection or usage
-error) reads "error", and a snippet that no longer occurs exactly once reads
-"stale".  First the unmodified copy must import from the copy and pass the
+limit of TIMEOUT seconds.  Pytest's exit code 1 (a test failed) reads
+"killed", 0 "survived", and the time limit "timed out"; any other exit code
+(a collection or usage error) reads "error", and a snippet that no longer
+occurs exactly once reads "stale".  First the unmodified copy must import from the copy and pass the
 union of the listed test files, so a kill is always the mutant's.
 
 The exit status is 0 only when every mutant is killed.  A survivor stays in
@@ -23,7 +20,6 @@ library only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import signal
@@ -35,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds per pytest run; the whole list takes about half a minute
 
 
 class Mutant(NamedTuple):
@@ -57,12 +54,16 @@ MUTANTS = (
            "least = min(least, form, form[::-1])", "least = min(least, form)", QUADFORM),
     Mutant("walk-stops-before-the-cycle-closes", "quadform.py",
            "        if form == start:\n", "        if _rho(form, D, s) == start:\n", QUADFORM),
+    Mutant("one-none-key-undecided", "quadform.py",
+           "if kf is None and kg is None", "if kf is None or kg is None", QUADFORM),
     Mutant("failed-hypotheses-share-a-class", "obstruct.py",
-           "form_key(M.form) or M.form.gram.entries if holds else i",
-           "form_key(M.form) or M.form.gram.entries", OBSTRUCT),
+           "key = (form_key(M.form) or M.form.gram.entries) if holds else i",
+           "key = form_key(M.form) or M.form.gram.entries", OBSTRUCT),
     Mutant("key-none-grouped-by-class", "obstruct.py",
-           "form_key(M.form) or M.form.gram.entries if holds",
-           "form_key(M.form) or classify(M.form) if holds", OBSTRUCT),
+           "(form_key(M.form) or M.form.gram.entries)", "(form_key(M.form) or classify(M.form))",
+           OBSTRUCT),
+    Mutant("key-none-own-class", "obstruct.py",
+           "(form_key(M.form) or M.form.gram.entries)", "(form_key(M.form) or i)", OBSTRUCT),
     Mutant("list-rows-accepted", "intlin.py",
            '            if not isinstance(row, tuple):\n'
            '                raise ValueError("matrix rows must be tuples")\n',
@@ -109,7 +110,7 @@ MUTANTS = (
 )
 
 
-def run_pytest(src: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, str]:
+def run_pytest(src: Path, tests: tuple[str, ...]) -> tuple[str, str]:
     """(verdict, tail of pytest's output) for the given tests against src."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -117,7 +118,7 @@ def run_pytest(src: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, 
     proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
-        out, _ = proc.communicate(timeout=timeout)
+        out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
@@ -133,55 +134,41 @@ def fresh_copy(workdir: Path) -> Path:
     return src
 
 
-def check_baseline(workdir: Path, mutants, timeout: float) -> None:
+def check_baseline(workdir: Path) -> None:
     src = fresh_copy(workdir)
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     where = subprocess.run([sys.executable, "-c", "import steincheck; print(steincheck.__file__)"],
                            cwd=ROOT, env=env, capture_output=True, text=True).stdout.strip()
     if not where.startswith(str(src)):
         sys.exit("steincheck imports from %r, not from the copy" % where)
-    tests = tuple(sorted({t for m in mutants for t in m.tests}))
-    verdict, tail = run_pytest(src, tests, timeout)
+    tests = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+    verdict, tail = run_pytest(src, tests)
     if verdict != "survived":
         sys.exit("the unmodified source does not pass %s (%s)\n%s" % (" ".join(tests), verdict, tail))
 
 
-def run_mutant(workdir: Path, m: Mutant, timeout: float) -> tuple[str, str]:
+def run_mutant(workdir: Path, m: Mutant) -> tuple[str, str]:
     path = fresh_copy(workdir) / "steincheck" / m.file
     text = path.read_text()
     if text.count(m.snippet) != 1:
         return "stale", "the snippet occurs %d times in %s" % (text.count(m.snippet), m.file)
     path.write_text(text.replace(m.snippet, m.replacement))
-    return run_pytest(workdir / "src", m.tests, timeout)
+    return run_pytest(workdir / "src", m.tests)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per pytest run")
-    args = parser.parse_args(argv)
-    names = [m.name for m in MUTANTS]
-    unknown = sorted(set(args.only or ()) - set(names))
-    if unknown:
-        parser.error("unknown mutant(s): %s" % ", ".join(unknown))
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    if args.list:
-        for m in mutants:
-            print("%-36s %-12s %s" % (m.name, m.file, " ".join(m.tests)))
-        return 0
+def main() -> int:
     counts = dict.fromkeys(("killed", "survived", "timed out", "error", "stale"), 0)
     with tempfile.TemporaryDirectory(prefix="steincheck-mutants-") as tmp:
-        check_baseline(Path(tmp), mutants, args.timeout)
-        for m in mutants:
+        check_baseline(Path(tmp))
+        for m in MUTANTS:
             started = time.perf_counter()
-            verdict, detail = run_mutant(Path(tmp), m, args.timeout)
+            verdict, detail = run_mutant(Path(tmp), m)
             counts[verdict] += 1
             print("%-9s %6.1fs  %s" % (verdict, time.perf_counter() - started, m.name), flush=True)
             if verdict in ("error", "stale"):
                 print("          " + detail.replace("\n", "\n          "))
     print(", ".join("%s %d" % item for item in counts.items()))
-    return 0 if counts["killed"] == len(mutants) else 1
+    return 0 if counts["killed"] == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

@@ -143,7 +143,8 @@ def homeo_classes(manifolds: Sequence[AlgebraicFourManifold]) -> HomeoClasses:
     between: dict[tuple[int, int], str] = {}
     for i, M in enumerate(manifolds):
         holds = _hypotheses_hold(M)
-        c = groups.setdefault(form_key(M.form) or M.form.gram.entries if holds else i, len(groups))
+        key = (form_key(M.form) or M.form.gram.entries) if holds else i
+        c = groups.setdefault(key, len(groups))
         class_of.append(c)
         if c == len(representatives):
             between[c, c] = "homeomorphic" if holds else "inapplicable"

@@ -129,14 +129,16 @@ def is_isomorphic(F: QuadraticForm, G: QuadraticForm) -> str:
 
     Identical Gram matrices are a "yes" and differing classes a "no", since
     every field of classify is a congruence invariant; otherwise the form_key
-    values decide, and a None key leaves the pair undecided.
+    values decide.  A None key is a property of the class (a rank >= 3 form,
+    or a cycle longer than _RHO_STEP_CAP, which F and its mirror share), so
+    one None key against a known one is a "no", and two leave it undecided.
     """
     if F.gram.entries == G.gram.entries:
         return "yes"
     if classify(F) != classify(G):
         return "no"
     kf, kg = form_key(F), form_key(G)
-    return "undecided" if kf is None or kg is None else "yes" if kf == kg else "no"
+    return "undecided" if kf is None and kg is None else "yes" if kf == kg else "no"
 
 
 def form_key(F: QuadraticForm) -> Optional[tuple]:

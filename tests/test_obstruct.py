@@ -245,6 +245,10 @@ class TestHomeoClasses:
         assert classes.class_of == (0, 1)
         assert classes.verdict(0, 1) == classes.verdict(1, 0) == "inapplicable"
         assert classes.verdict(0, 0) == classes.verdict(1, 1) == "homeomorphic"
+        # identical forms share a class even where the key is None
+        classes = homeo_classes([c, d, synthetic_manifold([[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+        assert classes.class_of == (0, 1, 0)
+        assert classes.verdict(0, 2) == "homeomorphic"
 
     def test_differing_invariants_give_distinct_classes(self):
         manifolds = [

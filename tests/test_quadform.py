@@ -291,6 +291,19 @@ class TestBinaryReduction:
         # the key walks the whole cycle, so neighbours past the cap are undecided too
         assert is_isomorphic(*near) == "undecided"
 
+    def test_one_long_cycle_against_a_short_one_is_no(self, monkeypatch):
+        # D = 244, both even: (-18, 8, 10) lies on a cycle of 22 reduced forms
+        # and (-12, 10, 12) on one of 6.  A form and its mirror have cycles of
+        # one length, so a cap between the two lengths still separates them.
+        long, short = binary((-18, 8, 10)), binary((-12, 10, 12))
+        assert classify(long) == classify(short)
+        assert is_isomorphic(long, short) == is_isomorphic(short, long) == "no"
+        monkeypatch.setattr(quadform, "_RHO_STEP_CAP", 10)
+        assert form_key(long) is None and form_key(short) is not None
+        assert is_isomorphic(long, short) == is_isomorphic(short, long) == "no"
+        monkeypatch.setattr(quadform, "_RHO_STEP_CAP", 4)
+        assert is_isomorphic(long, short) == is_isomorphic(short, long) == "undecided"
+
     def test_key_starts_with_the_class(self):
         # None only on rank-3 forms that are not indefinite unimodular
         rng = random.Random(21)
