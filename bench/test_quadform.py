@@ -22,12 +22,14 @@ the classes alone), same-determinant definite rank-2 pairs (decided by
 reduction), indefinite rank-2 pairs of non-square D > 0 (decided by walking
 the whole cycle of reduced forms of each form, 34 to 6,322 forms long for
 x^2 - Dy^2) and rank-3 pairs B^T F B with equal invariants (undecided).
-``test_infinitude_report`` builds the odd certificate over q = 1..50, 1..200
-and 1..800; ``extra_info["eliminations"]`` counts the ``_symmetric_bareiss``
-calls that ``classify`` makes in one report, measured in one separate, untimed
-call.  ``classify`` keeps each form's class on the form, so this is one per
-member.  ``test_is_isomorphic`` reuses its pairs across rounds, so every round
-after the first reads the classes kept on those forms.
+``test_infinitude_report`` builds the odd certificate over q = 1..50, 1..200,
+1..800 and 1..10^4; ``extra_info["eliminations"]`` counts the
+``_symmetric_bareiss`` calls that ``classify`` makes in one report and
+``extra_info["x_family"]`` the members it builds, both measured in one
+separate, untimed call.  The odd members share one normal form and one
+distinguished class on it, so both are one for every q-range.
+``test_is_isomorphic`` reuses its pairs across rounds, so every round after
+the first reads the classes kept on those forms.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from math import isqrt
 
 import pytest
 
+import steincheck.obstruct as obstruct
 import steincheck.quadform as quadform
 from steincheck.intlin import IntMatrix, congruence_transform
 from steincheck.obstruct import infinitude_report
@@ -95,11 +98,13 @@ def test_solve_square(benchmark, monkeypatch, kind, k):
     assert result.complete
 
 
-# Forms whose sets of v.v = c are not all finite: D = 0, a non-square D > 0
-# (empty or infinite for c != 0, the origin alone for c = 0) and c = 0 on a
-# square D.  Each is (gram, c, vectors, complete), answered without a loop step.
+# Forms whose sets of v.v = c are not all finite: D = 0 (lines for c = k m^2,
+# here (2x + y)^2 = 4, else empty and complete), a non-square D > 0 (empty or
+# infinite for c != 0, the origin alone for c = 0) and c = 0 on a square D.
+# Each is (gram, c, vectors, complete), answered without a loop step.
 NOT_FINITE = {
     "degenerate": ([[4, 2], [2, 1]], 4, (), False),
+    "degenerate-empty": ([[4, 2], [2, 1]], 3, (), True),
     "non-square-D": ([[1, 0], [0, -7]], 2, (), False),
     "non-square-D-c0": ([[1, 0], [0, -7]], 0, ((0, 0),), True),
     "isotropic-c0": ([[0, 1], [1, 3]], 0, (), False),
@@ -190,20 +195,26 @@ def test_is_isomorphic(benchmark, kind):
         assert "undecided" not in verdicts
 
 
-@pytest.mark.parametrize("hi", (50, 200, 800), ids=lambda hi: "q1-%d" % hi)
+@pytest.mark.parametrize("hi", (50, 200, 800, 10**4), ids=lambda hi: "q1-%d" % hi)
 def test_infinitude_report(benchmark, monkeypatch, hi):
-    calls = 0
-    eliminate = quadform._symmetric_bareiss
+    eliminations, built = 0, 0
+    eliminate, build = quadform._symmetric_bareiss, obstruct.x_family
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        nonlocal eliminations
+        eliminations += 1
         return eliminate(*args)
+
+    def counted_build(p):
+        nonlocal built
+        built += 1
+        return build(p)
 
     with monkeypatch.context() as m:
         m.setattr(quadform, "_symmetric_bareiss", counted)
+        m.setattr(obstruct, "x_family", counted_build)
         infinitude_report("odd", range(1, hi + 1))
     benchmark.group = "infinitude_report"
-    benchmark.extra_info.update(q_range=[1, hi], eliminations=calls)
-    assert calls == hi
+    benchmark.extra_info.update(q_range=[1, hi], eliminations=eliminations, x_family=built)
+    assert eliminations == built == 1
     assert benchmark(infinitude_report, "odd", range(1, hi + 1)).conclusion

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 300  # seconds per pytest run; the whole list takes about half a minute
+TIMEOUT = 300  # seconds per pytest run; the whole list takes about 40 s
 
 
 class Mutant(NamedTuple):
@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 QUADFORM = ("tests/test_quadform.py",)
 OBSTRUCT = ("tests/test_obstruct.py",)
 INTLIN = ("tests/test_intlin.py",)
+SURGERY_AND_CLI = ("tests/test_surgery.py", "tests/test_cli.py")
 
 MUTANTS = (
     # form_key and the homeomorphism classes grouped by it
@@ -68,28 +69,47 @@ MUTANTS = (
            '            if not isinstance(row, tuple):\n'
            '                raise ValueError("matrix rows must be tuples")\n',
            "", ("tests/test_records.py",)),
-    # the per-normal-form rigidity memo of infinitude_report
+    # the per-key memo of infinitude_report and the key (N, w) of family_bounds
     Mutant("rigidity-key-without-w", "obstruct.py",
            "        if (N, w) not in rigid:\n"
-           "            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w)\n"
-           "        rigidity.append(rigid[N, w])\n",
+           "            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)\n"
+           "            representatives.append(rep.manifold)\n"
+           "        rows.append((p, bound.lower_bound, *rigid[N, w]))\n",
            "        if N not in rigid:\n"
-           "            rigid[N] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w)\n"
-           "        rigidity.append(rigid[N])\n", OBSTRUCT),
+           "            rigid[N] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)\n"
+           "            representatives.append(rep.manifold)\n"
+           "        rows.append((p, bound.lower_bound, *rigid[N]))\n", OBSTRUCT),
     Mutant("rigidity-key-without-N", "obstruct.py",
            "        if (N, w) not in rigid:\n"
-           "            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w)\n"
-           "        rigidity.append(rigid[N, w])\n",
+           "            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)\n"
+           "            representatives.append(rep.manifold)\n"
+           "        rows.append((p, bound.lower_bound, *rigid[N, w]))\n",
            "        if w not in rigid:\n"
-           "            rigid[w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w)\n"
-           "        rigidity.append(rigid[w])\n", OBSTRUCT),
+           "            rigid[w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)\n"
+           "            representatives.append(rep.manifold)\n"
+           "        rows.append((p, bound.lower_bound, *rigid[w]))\n", OBSTRUCT),
     Mutant("w-fixed-to-(0, 1)", "obstruct.py",
-           "m.k), (s0 - m.k * s1, s1)", "m.k), (0, 1)", OBSTRUCT),
+           "s0), (s0 - s0 * s1, s1)", "s0), (0, 1)", OBSTRUCT),
     Mutant("w-untransported", "obstruct.py",
-           "m.k), (s0 - m.k * s1, s1)", "m.k), (s0, s1)", OBSTRUCT),
+           "s0), (s0 - s0 * s1, s1)", "s0), (s0, s1)", OBSTRUCT),
     Mutant("memo-kept-across-calls", "obstruct.py",
-           "rigid = {}  # (N, w) -> verdict, kept for this call only",
+           "rigid = {}  # (N, w) -> (verdict, FormClass), kept for this call only",
            'rigid = infinitude_report.__dict__.setdefault("memo", {})', OBSTRUCT),
+    Mutant("bound-without-abs", "obstruct.py",
+           "abs(c1v) + vv + 2", "c1v + vv + 2", OBSTRUCT),
+    Mutant("bounds-increase-not-strict", "obstruct.py",
+           "all(a < b for a, b in zip(bounds, bounds[1:]))",
+           "all(a <= b for a, b in zip(bounds, bounds[1:]))", OBSTRUCT),
+    # the one member formula, read by no test: the closed forms and goldens catch it
+    Mutant("form-entry-minus-four", "surgery.py",
+           "-2 * p * p + p - 3", "-2 * p * p + p - 4", SURGERY_AND_CLI),
+    Mutant("k-without-plus-one", "surgery.py",
+           "(p * p - q + 1, 1)", "(p * p - q, 1)", SURGERY_AND_CLI),
+    Mutant("c1-is-(0, 1 - p)", "surgery.py",
+           "(0, -1 - p)", "(0, 1 - p)", SURGERY_AND_CLI),
+    # the +-s rigidity test
+    Mutant("plus-minus-without-complete", "quadform.py",
+           "return self.complete and set(self.vectors)", "return set(self.vectors)", QUADFORM),
     # the closed-form 2 x 2 case of _symmetric_bareiss
     Mutant("definite-sign-flipped", "intlin.py",
            "(2, 0, 0, det) if a > 0 else", "(2, 0, 0, det) if a < 0 else", INTLIN),

@@ -28,9 +28,9 @@ from .handle import (
 )
 from .intlin import _clip, _parse_int
 from .obstruct import (
-    adjunction_lower_bound,
     certificate_csv_rows,
     certificate_text,
+    family_bounds,
     homeo_classes,
     infinitude_report,
 )
@@ -39,7 +39,6 @@ from .surgery import (
     FIXTURE_NOTES,
     LogTransformFamilyMember,
     compose,
-    family_parameter,
     fp_matrix,
     normalized_form,
     stabilizes_summand,
@@ -220,11 +219,7 @@ def _cmd_lemma_basis_restriction(args) -> tuple[int, str]:
 
 
 def _cmd_genus_bound(args) -> tuple[int, str]:
-    rows = []
-    for q in _parse_range(args.q_range):
-        member = x_family(family_parameter(args.parity, q))
-        bound = adjunction_lower_bound(member.manifold, member.s_class)
-        rows.append((q, member.p, bound))
+    rows = [(q, p, b) for q, p, _, _, b in family_bounds(args.parity, _parse_range(args.q_range))]
     if args.output == "json":
         return 0, _json_text(
             {

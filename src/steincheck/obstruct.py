@@ -6,12 +6,12 @@ infinitely many smooth structures in one homeomorphism type."""
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .handle import AlgebraicFourManifold, chern_eval
 from .intlin import IntMatrix, _Record
 from .quadform import QuadraticForm, classify, form_key, is_isomorphic, pairing, solve_square
-from .surgery import LogTransformFamilyMember, _shear, family_parameter, x_family
+from .surgery import LogTransformFamilyMember, _member_terms, _shear, family_parameter, x_family
 
 CLASS_RIGIDITY_NOTE = (
     "The distinguished class is, up to sign, the only class of its square, "
@@ -42,15 +42,15 @@ class GenusBound(_Record, namedtuple(
 
 class InfinitudeCertificate(_Record, namedtuple(
         "InfinitudeCertificate", "family_label parity parameters bounds rigidity "
-        "all_homeomorphic bounds_increasing conclusion members")):
+        "all_homeomorphic bounds_increasing conclusion classes")):
     """Machine-checked record that a family contains infinitely many
     pairwise homeomorphic but mutually distinct smooth structures.
 
     The conclusion is true only when the family has at least two members,
     all members are pairwise homeomorphic, every member passes the
     class-rigidity check, and the genus lower bounds strictly increase
-    along the parameters (``bounds_increasing``).  ``members`` holds the
-    checked members; the JSON form leaves out those two fields.
+    along the parameters (``bounds_increasing``).  ``classes`` holds each
+    member's FormClass; the JSON form leaves out those two fields.
     """
 
     __slots__ = ()
@@ -70,20 +70,37 @@ class InfinitudeCertificate(_Record, namedtuple(
 
 def adjunction_lower_bound(M: AlgebraicFourManifold, v: Sequence[int]) -> GenusBound:
     """Genus lower bound for smoothly embedded closed surfaces representing
-    the nonzero class v in a Stein-flagged manifold."""
+    the nonzero class v in a Stein-flagged manifold, by _genus_lower_bound."""
     if not any(v):
         raise ValueError("adjunction requires a homologically essential class")
     if not M.stein:
         raise ValueError("adjunction bound requires a manifold flagged as Stein")
     vv = pairing(M.form, v, v)
     c1v = chern_eval(M, v)
-    num = abs(c1v) + vv + 2
-    return GenusBound(
-        class_coords=tuple(v),
-        self_intersection=vv,
-        c1_pairing=c1v,
-        lower_bound=max(0, (num + 1) // 2),
-    )
+    return GenusBound(tuple(v), vv, c1v, _genus_lower_bound(c1v, vv))
+
+
+def _genus_lower_bound(c1v: int, vv: int) -> int:
+    return max(0, -(-(abs(c1v) + vv + 2) // 2))  # ceil((|c1.v| + v.v + 2) / 2)
+
+
+def family_bounds(parity: str, q_range: Iterable[int]) -> Iterator[tuple]:
+    """Yield (q, p, (N, w), representative, GenusBound) for each q, as read,
+    with N = B^T F B and w = B^-1 s for the member's det-1 shear B = [[1, k],
+    [0, 1]].  The key's first member, from x_family, is checked by
+    adjunction_lower_bound, whose s.s = w.w on N every member of the key
+    shares; only c1.s and the bound are computed per member."""
+    first = {}  # (N, w) -> (representative, s.s), kept for this call only
+    for q in q_range:
+        p = family_parameter(parity, q)
+        gram, c1, (s0, s1) = _member_terms(p)
+        key = _shear(gram, s0), (s0 - s0 * s1, s1)  # the shear's k is s0
+        if key not in first:
+            rep = x_family(p)
+            first[key] = rep, adjunction_lower_bound(rep.manifold, rep.s_class).self_intersection
+        rep, vv = first[key]
+        c1v = c1[0] * s0 + c1[1] * s1
+        yield q, p, key, rep, GenusBound((s0, s1), vv, c1v, _genus_lower_bound(c1v, vv))
 
 
 def _hypotheses_hold(M: AlgebraicFourManifold) -> bool:
@@ -173,42 +190,38 @@ def infinitude_report(parity: str, q_range: Iterable[int]) -> InfinitudeCertific
     argument: pairwise homeomorphism, class rigidity, and strictly
     increasing genus lower bounds on the distinguished classes.
 
-    Rigidity is decided once per distinct pair (N, w), for N = B^T F B and
-    w = B^-1 s with the member's shear B = [[1, k], [0, 1]]: B has det 1, so
-    v -> B^-1 v maps {v : v.v = c} on F onto {u : u.u = c} on N and s onto w.
+    Rigidity, the FormClass and the homeomorphism class are decided once per
+    key (N, w) of family_bounds: the det-1 shear maps {v : v.v = c} on F onto
+    {u : u.u = c} on N and s onto w, and F is congruent to the key's forms.
     """
-    # family_parameter checks parity and each q as the members are built, so
-    # the first bad q raises before the rest of q_range is read
-    members = [x_family(family_parameter(parity, q)) for q in q_range]
-    if not members:
-        raise ValueError("q_range must be nonempty")
-    if any(a.p >= b.p for a, b in zip(members, members[1:])):
-        raise ValueError("q_range must be strictly increasing")
-    bounds = [adjunction_lower_bound(m.manifold, m.s_class).lower_bound for m in members]
-    rigid = {}  # (N, w) -> verdict, kept for this call only
-    rigidity = []
-    for m in members:
-        s0, s1 = m.s_class
-        N, w = _shear(m.manifold.form.gram, m.k), (s0 - m.k * s1, s1)
+    rigid = {}  # (N, w) -> (verdict, FormClass), kept for this call only
+    representatives, rows = [], []
+    for _, p, (N, w), rep, bound in family_bounds(parity, q_range):
         if (N, w) not in rigid:
-            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w)
-        rigidity.append(rigid[N, w])
-    classes = homeo_classes([m.manifold for m in members])
-    all_homeo = len(classes.representatives) == 1 and classes.verdict(0, 0) == "homeomorphic"
-    increasing = all(bounds[i] < bounds[i + 1] for i in range(len(bounds) - 1))
-    conclusion = len(members) >= 2 and all_homeo and all(rigidity) and increasing
+            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)
+            representatives.append(rep.manifold)
+        rows.append((p, bound.lower_bound, *rigid[N, w]))
+    if not rows:
+        raise ValueError("q_range must be nonempty")
+    parameters, bounds, rigidity, classes = zip(*rows)
+    if any(a >= b for a, b in zip(parameters, parameters[1:])):
+        raise ValueError("q_range must be strictly increasing")
+    homeo = homeo_classes(representatives)
+    all_homeo = len(homeo.representatives) == 1 and homeo.verdict(0, 0) == "homeomorphic"
+    increasing = all(a < b for a, b in zip(bounds, bounds[1:]))
+    conclusion = len(rows) >= 2 and all_homeo and all(rigidity) and increasing
 
     return InfinitudeCertificate(
         family_label="log-transform family, %s parameters (p = %s)"
         % (parity, "2q-1" if parity == "odd" else "2q"),
         parity=parity,
-        parameters=tuple(m.p for m in members),
-        bounds=tuple(bounds),
-        rigidity=tuple(rigidity),
+        parameters=parameters,
+        bounds=bounds,
+        rigidity=rigidity,
         all_homeomorphic=all_homeo,
         bounds_increasing=increasing,
         conclusion=conclusion,
-        members=tuple(members),
+        classes=classes,
     )
 
 
@@ -244,7 +257,6 @@ def certificate_text(cert: InfinitudeCertificate) -> str:
 def certificate_csv_rows(cert: InfinitudeCertificate) -> list[list[str]]:
     """Rows (p, parity, form-class, bound, rigidity) for spreadsheet export."""
     rows = [["p", "parity", "form_class", "bound", "rigidity"]]
-    for m, bound, rigid in zip(cert.members, cert.bounds, cert.rigidity):
-        fc = classify(m.manifold.form)
-        rows.append([str(m.p), cert.parity, fc.describe(), str(bound), str(rigid).lower()])
+    for p, bound, rigid, fc in zip(cert.parameters, cert.bounds, cert.rigidity, cert.classes):
+        rows.append([str(p), cert.parity, fc.describe(), str(bound), str(rigid).lower()])
     return rows

@@ -212,8 +212,8 @@ class SquareSolutions(_Record, namedtuple("SquareSolutions", "vectors complete")
     """Solutions of v.v = c on a rank-2 form.
 
     ``complete`` marks whether ``vectors`` is the full solution set.  When it
-    is False, ``vectors`` is empty: the set is empty or infinite and
-    solve_square does not decide which.
+    is False, ``vectors`` is empty: the set is infinite (a union of lines for
+    D = 0), or empty or infinite and solve_square does not decide which.
     """
 
     __slots__ = ()
@@ -238,7 +238,9 @@ def solve_square(F: QuadraticForm, c: int) -> SquareSolutions:
     factors ax + (b -+ r)y; each signed divisor u of kc gives one linear
     system.  If D < 0, y runs along the axis with the smaller |diagonal| entry,
     y^2 <= min(|a|, |d|) |c| / -D, and x is a root of a quadratic.  If D > 0
-    is not a square, a Q = 0 only at (0, 0), the one solution of c = 0.
+    is not a square, a Q = 0 only at (0, 0), the one solution of c = 0.  If
+    D = 0, Q = k (ux + vy)^2 with gcd(u, v) = 1 and k from _canonical_binary
+    (0 when Q = 0), and a c that is no k m^2 has no solution.
     These sets are finite and returned complete.  Any other set is empty or
     infinite, and is returned empty and incomplete.
     """
@@ -247,6 +249,10 @@ def solve_square(F: QuadraticForm, c: int) -> SquareSolutions:
     (a, b), (_, d) = F.gram.entries
     D = b * b - a * d
     r = isqrt(max(D, 0))
+    if D == 0:
+        k = _canonical_binary(a, b, d, D)[0]
+        lines = c == 0 or k != 0 and c % k == 0 and c // k > 0 and isqrt(c // k) ** 2 == c // k
+        return SquareSolutions((), complete=not lines)
     if D > 0 and r * r != D and c == 0:
         return SquareSolutions(((0, 0),), complete=True)
     if not (D < 0 or D > 0 and r * r == D and c != 0):

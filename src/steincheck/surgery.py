@@ -23,11 +23,11 @@ from .quadform import QuadraticForm
 class LogTransformFamilyMember(_Record, namedtuple("LogTransformFamilyMember", "p manifold s_class")):
     """One member X_p of the log-transform family.
 
-    The manifold carries the intersection form [[0,1],[1,-2p^2+p-3]] in the
-    basis (T_p, R_p) and c1 = (0, -1-p); ``s_class`` holds the coordinates
-    of the distinguished class S_p = R_p + k T_p with k = p^2 - q + 1.  The
-    label p = 0 denotes the untransformed manifold X with form
-    [[0,1],[1,-2]] in the basis (T, S) and S itself as distinguished class.
+    The manifold carries the intersection form and c1 of _member_terms(p)
+    in the basis (T_p, R_p); ``s_class`` holds the coordinates (k, 1) of the
+    distinguished class S_p = R_p + k T_p.  The label p = 0 denotes the
+    untransformed manifold X in the basis (T, S), with S itself as
+    distinguished class.
 
     x_family() is the validated constructor; the record itself accepts
     arbitrary data so that degenerate examples can be probed.
@@ -54,25 +54,23 @@ class LogTransformFamilyMember(_Record, namedtuple("LogTransformFamilyMember", "
         }
 
 
-def x_family(p: int) -> LogTransformFamilyMember:
-    """The family member with log-transform parameter p >= 1, or the
-    untransformed manifold under the p = 0 convention."""
+def _member_terms(p: int) -> tuple[tuple, tuple[int, int], tuple[int, int]]:
+    """(gram entries, c1, s_class) of X_p: the one home of the member
+    formulas, in +, - and x of p and q = (p + 1) // 2."""
     if p < 0:
         raise ValueError("family parameters must be >= 0")
     if p == 0:
-        form = QuadraticForm.from_rows([[0, 1], [1, -2]], labels=("T", "S"))
-        c1 = (0, 0)
-        s_class = (0, 1)
-        name = "X"
-    else:
-        form = QuadraticForm(IntMatrix(2, 2, ((0, 1), (1, -2 * p * p + p - 3))),
-                             ("T_%d" % p, "R_%d" % p))
-        c1 = (0, -1 - p)
-        q = (p + 1) // 2
-        s_class = (p * p - q + 1, 1)
-        name = "X_%d" % p
+        return ((0, 1), (1, -2)), (0, 0), (0, 1)
+    q = (p + 1) // 2
+    return ((0, 1), (1, -2 * p * p + p - 3)), (0, -1 - p), (p * p - q + 1, 1)
+
+
+def x_family(p: int) -> LogTransformFamilyMember:
+    """The member X_p (p >= 1), or X under the p = 0 convention, from _member_terms."""
+    gram, c1, s_class = _member_terms(p)
+    labels, name = (("T", "S"), "X") if p == 0 else (("T_%d" % p, "R_%d" % p), "X_%d" % p)
     manifold = AlgebraicFourManifold(
-        form=form,
+        form=QuadraticForm(IntMatrix(2, 2, gram), labels),
         c1=c1,
         euler=2,  # stored, read by no decision; not 1 + b2 = 3
         sig=0,
@@ -104,13 +102,13 @@ def normalized_form(member: LogTransformFamilyMember) -> QuadraticForm:
         labels = ("T", "S")
     else:
         labels = ("T_%d" % member.p, "S_%d" % member.p)
-    return QuadraticForm(IntMatrix(2, 2, _shear(member.manifold.form.gram, member.k)), labels)
+    return QuadraticForm(IntMatrix(2, 2, _shear(member.manifold.form.gram.entries, member.k)), labels)
 
 
-def _shear(gram: IntMatrix, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The entries of B^T gram B for the shear B = [[1, k], [0, 1]] (det 1)
-    of a 2 x 2 gram."""
-    (a, b), (_, c) = gram.entries
+def _shear(gram: tuple, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The entries of B^T F B for the shear B = [[1, k], [0, 1]] (det 1) of
+    the 2 x 2 gram entries F."""
+    (a, b), (_, c) = gram
     ak_b = a * k + b
     return (a, ak_b), (ak_b, (ak_b + b) * k + c)
 

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from steincheck import obstruct, quadform
+from steincheck import obstruct, quadform, surgery
 from steincheck.cli import run
 from steincheck.handle import AlgebraicFourManifold
 from steincheck.intlin import IntMatrix
@@ -10,12 +12,13 @@ from steincheck.obstruct import (
     certificate_csv_rows,
     certificate_text,
     class_rigidity,
+    family_bounds,
     homeo_classes,
     homeo_decide,
     infinitude_report,
 )
-from steincheck.quadform import QuadraticForm
-from steincheck.surgery import LogTransformFamilyMember, x_family
+from steincheck.quadform import QuadraticForm, classify
+from steincheck.surgery import LogTransformFamilyMember, family_parameter, x_family
 
 from oracles import random_unimodular_matrix
 import random
@@ -188,10 +191,11 @@ def eliminations(monkeypatch):
 class TestHomeoClasses:
     @pytest.mark.parametrize("parity", ["odd", "even"])
     def test_certificate_decisions_are_linear(self, capsys, decisions, form_keys, parity):
-        # one class: each member is grouped by its key, with no pairwise decision
+        # the members of one parity share one (N, w) key, whose representative
+        # is the one form grouped, with no pairwise decision
         assert run(["certificate", "--parity", parity, "--q-range", "1..200"]) == 0
         capsys.readouterr()
-        assert len(form_keys) == 200
+        assert len(form_keys) == 1
         assert decisions == []
 
     def test_lemma_homeo_decisions_are_linear(self, capsys, decisions):
@@ -204,7 +208,7 @@ class TestHomeoClasses:
         argv = ["certificate", "--parity", parity, "--q-range", "1..200", "--output", "csv"]
         assert run(argv) == 0
         capsys.readouterr()
-        assert len(eliminations) == 200
+        assert len(eliminations) == 1  # the one representative's form
 
     def test_lemma_homeo_eliminates_each_member_once(self, capsys, eliminations):
         assert run(["lemma", "homeo", "--max-p", "80", "--output", "json"]) == 0
@@ -341,46 +345,57 @@ class TestInfinitudeReport:
             for j in range(i + 2, len(qs) + 1):
                 assert infinitude_report("even", qs[i:j]).conclusion
 
+    def test_equal_bounds_do_not_increase(self, monkeypatch):
+        # with c1 = 0 every odd member has the bound ceil((0 - 2 + 2) / 2) = 0
+        terms = surgery._member_terms
+        zero_c1 = lambda p: (terms(p)[0], (0, 0), terms(p)[2])
+        monkeypatch.setattr(surgery, "_member_terms", zero_c1)
+        monkeypatch.setattr(obstruct, "_member_terms", zero_c1)
+        cert = infinitude_report("odd", range(1, 4))
+        assert cert.bounds == (0, 0, 0)
+        assert not cert.bounds_increasing and not cert.conclusion
+        assert all(cert.rigidity) and cert.all_homeomorphic
+
     def test_sparse_increasing_range_accepted(self):
         cert = infinitude_report("odd", [1, 4, 9])
         assert cert.parameters == (1, 7, 17)
         assert cert.conclusion
 
 
-def _entry_plus_one(m):
-    (_, _), (_, e) = m.manifold.form.gram.entries
-    form = QuadraticForm.from_rows([[0, 1], [1, e + 1]], m.manifold.form.labels)
-    return m._replace(manifold=m.manifold._replace(form=form))
-
-
 class TestTransportedRigidity:
     """infinitude_report decides rigidity once per normal form N and class w =
     B^-1 s, and must agree with class_rigidity on each member."""
 
+    # each maps the member terms (gram, c1, s) to mutated ones
     MUTANTS = {
-        "s-is-(k, 2)": lambda m: m._replace(s_class=(m.k, 2)),
-        "s-is-(k+1, 1)": lambda m: m._replace(s_class=(m.k + 1, 1)),
-        "form-entry-plus-one": _entry_plus_one,
+        "s-is-(k, 2)": lambda gram, c1, s: (gram, c1, (s[0], 2)),
+        "s-is-(k+1, 1)": lambda gram, c1, s: (gram, c1, (s[0] + 1, 1)),
+        "form-entry-plus-one": lambda gram, c1, s: (((0, 1), (1, gram[1][1] + 1)), c1, s),
     }
 
     @pytest.mark.parametrize("parity", ["odd", "even"])
     def test_agrees_with_class_rigidity(self, parity):
         cert = infinitude_report(parity, range(1, 201))
-        assert cert.rigidity == tuple(class_rigidity(m) for m in cert.members)
+        assert cert.rigidity == tuple(class_rigidity(x_family(p)) for p in cert.parameters)
         assert all(cert.rigidity)
 
     @pytest.mark.parametrize("mutant", list(MUTANTS))
     def test_agrees_on_mutated_members(self, monkeypatch, mutant):
-        # the members of odd q are mutated, so one call mixes both kinds
-        mutate = self.MUTANTS[mutant]
-        monkeypatch.setattr(obstruct, "x_family",
-                            lambda p: mutate(x_family(p)) if (p + 1) // 2 % 2 else x_family(p))
+        # the members of odd q are mutated, so one call mixes both kinds; the
+        # mutated terms reach both the certificate's loop and x_family
+        mutate, terms = self.MUTANTS[mutant], surgery._member_terms
+
+        def mutated(p):
+            return mutate(*terms(p)) if (p + 1) // 2 % 2 else terms(p)
+
+        monkeypatch.setattr(surgery, "_member_terms", mutated)
+        monkeypatch.setattr(obstruct, "_member_terms", mutated)
         verdicts = []
         for parity in ("odd", "even"):
             cert = infinitude_report(parity, range(1, 201))
-            changed = [m != x_family(m.p) for m in cert.members]
+            changed = [mutated(p) != terms(p) for p in cert.parameters]
             assert changed == [q % 2 == 1 for q in range(1, 201)]
-            direct = tuple(class_rigidity(m) for m in cert.members)
+            direct = tuple(class_rigidity(x_family(p)) for p in cert.parameters)
             assert cert.rigidity == direct
             verdicts += direct
         assert not all(verdicts)
@@ -395,6 +410,60 @@ class TestTransportedRigidity:
         assert 1 <= first <= 2
         infinitude_report(parity, range(1, 201))
         assert len(calls) == 2 * first
+
+
+def member_by_member(parity, qs):
+    """The certificate's and genus-bound's values by the per-member path, the
+    oracle of the (N, w)-keyed loop: each member built by x_family and
+    checked on its own form."""
+    members = [x_family(family_parameter(parity, q)) for q in qs]
+    bounds = [adjunction_lower_bound(m.manifold, m.s_class) for m in members]
+    rigidity = tuple(class_rigidity(m) for m in members)
+    classes = homeo_classes([m.manifold for m in members])
+    rows = [[str(m.p), parity, classify(m.manifold.form).describe(), str(b.lower_bound),
+             str(r).lower()] for m, b, r in zip(members, bounds, rigidity)]
+    return {
+        "bounds": bounds,
+        "rigidity": rigidity,
+        "all_homeomorphic": len(classes.representatives) == 1
+        and classes.verdict(0, 0) == "homeomorphic",
+        "csv": [["p", "parity", "form_class", "bound", "rigidity"]] + rows,
+    }
+
+
+class TestMemberByMemberPath:
+    """infinitude_report and genus-bound against the per-member path."""
+
+    Q_RANGES = {
+        "1..200": range(1, 201),
+        "to-1e6": (1, 2, 5, 999, 10**3, 10**6 - 1, 10**6),
+        "to-1e12": (1, 10**6, 10**12 - 1, 10**12),
+        "to-1e40": (3, 10**12, 10**20 + 7, 10**40),
+    }
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("qs", list(Q_RANGES))
+    def test_certificate_and_bounds_agree(self, parity, qs):
+        qs = self.Q_RANGES[qs]
+        old = member_by_member(parity, qs)
+        cert = infinitude_report(parity, qs)
+        assert cert.bounds == tuple(b.lower_bound for b in old["bounds"])
+        assert cert.rigidity == old["rigidity"]
+        assert cert.all_homeomorphic == old["all_homeomorphic"] is True
+        assert certificate_csv_rows(cert) == old["csv"]
+        assert [b for *_, b in family_bounds(parity, qs)] == old["bounds"]
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("lo, hi", [(1, 200), (10**6 - 2, 10**6), (10**12 - 2, 10**12),
+                                        (10**40 - 2, 10**40)])
+    def test_genus_bound_rows_agree(self, capsys, parity, lo, hi):
+        assert run(["genus-bound", "--parity", parity, "--q-range", "%d..%d" % (lo, hi),
+                    "--output", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["bounds"]
+        qs = range(lo, hi + 1)
+        old = member_by_member(parity, qs)["bounds"]
+        ps = [family_parameter(parity, q) for q in qs]
+        assert rows == [{"q": q, "p": p, **b.to_json_obj()} for q, p, b in zip(qs, ps, old)]
 
 
 class TestRendering:

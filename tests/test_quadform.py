@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -368,6 +368,9 @@ class TestSolveSquare:
         sols = solve_square(Q([[0, 1], [1, -2]]), -2)
         assert sols.complete
         assert set(sols.vectors) == {(0, 1), (0, -1)}
+        assert sols.is_plus_minus((0, 1)) and sols.is_plus_minus((0, -1))
+        # the same vectors in a set not known to be complete prove nothing
+        assert not sols._replace(complete=False).is_plus_minus((0, 1))
 
     def test_distinguished_square_in_normalized_coordinates(self):
         # in the (T_p, S_p) basis the solution set is exactly +-(0, 1)
@@ -436,9 +439,10 @@ class TestSolveSquare:
 
     def test_completeness_and_solutions_on_all_small_forms(self, monkeypatch):
         """Complete exactly when D = b^2 - ad < 0, D is a nonzero square and
-        c != 0, or c = 0 and D > 0 is not a square, and then equal to the sweep
-        oracle; otherwise empty, found without a loop step.  Every form with
-        entries in [-4, 4] and c in [-15, 15]."""
+        c != 0, c = 0 and D > 0 is not a square, or D = 0 and c is no value
+        k t^2, and then equal to the sweep oracle; otherwise empty, found
+        without a loop step.  Every form with entries in [-4, 4] and c in
+        [-15, 15]."""
         steps = []
 
         def counted(*args):
@@ -456,6 +460,16 @@ class TestSolveSquare:
                 anisotropic_zero = D > 0 and not square and c == 0
                 if not searched:
                     assert sum(steps) == 0, (a, b, d, c)
+                if D == 0:
+                    # Q = k (ux + vy)^2 takes the values k t^2, k the signed gcd of its values
+                    values = [a * x * x + 2 * b * x * y + d * y * y
+                              for x in range(-2, 3) for y in range(-2, 3)]
+                    k = gcd(*values) * (1 if max(values) > 0 else -1)
+                    lines = any(k * t * t == c for t in range(16))
+                    assert sols.complete is not lines and sols.vectors == (), (a, b, d, c)
+                    if sols.complete:
+                        assert sweep_square_solutions([[a, b], [b, d]], c, 30) == set(), (a, b, d, c)
+                    continue
                 if not (searched or anisotropic_zero):
                     assert not sols.complete and sols.vectors == (), (a, b, d, c)
                     continue

@@ -66,7 +66,7 @@ RECORDS = {
                  ("class_coords", "self_intersection", "c1_pairing", "lower_bound")),
     InfinitudeCertificate: (lambda: infinitude_report("odd", range(1, 4)),
                             ("family_label", "parity", "parameters", "bounds", "rigidity",
-                             "all_homeomorphic", "bounds_increasing", "conclusion", "members")),
+                             "all_homeomorphic", "bounds_increasing", "conclusion", "classes")),
     HomeoClasses: (lambda: homeo_classes([x_family(p).manifold for p in range(4)]),
                    ("class_of", "representatives", "between")),
 }
