@@ -4,15 +4,19 @@
 
 Each case solves v.v = c on a seeded rank-2 form at |c| near 10^2, 10^4, ...,
 10^10, for three kinds of form: positive or negative definite (D < 0, the
-sweep over y), isotropic [[0, e], [e, d]] and its mirror (D = e^2, the
-divisors of c) and split with no zero diagonal entry (D = r^2, the divisors of
-ac).  Definite and split cases take c = v.v of a random v, so the set is not
-empty.  ``extra_info["steps"]`` is the number of loop iterations, measured in
-one separate, untimed call as the summed length of the ranges that
-``solve_square`` iterates over; it grows like sqrt(|c|) in every kind.
+sweep over y), isotropic [[0, e], [e, d]] and its mirror (D = e^2) and split
+with no zero diagonal entry (D = r^2), both solved over the divisors of c on
+the reduced form.  Definite and split cases take c = v.v of a random v, so
+the set is not empty.  ``extra_info["steps"]`` is the number of loop
+iterations, measured in one separate, untimed call as the summed length of
+the ranges that ``solve_square`` iterates over; it grows like sqrt(|c|) in
+every kind.
 ``test_solve_square_long_axis`` solves diag(10^6, 1) and its mirror at
 c = 10^12, where a sweep along the axis of the larger diagonal entry would
-take 10^3 times the steps.  ``test_solve_square_not_finite`` times the forms
+take 10^3 times the steps, and ``test_solve_square_unreduced_definite``
+solves [[5, 7], [7, 10]], x^2 + y^2 in another basis, at c = 10^6, where the
+sweep on the reduced form takes 2,001 steps and one along the smaller
+diagonal entry 4,473.  ``test_solve_square_not_finite`` times the forms
 whose sets are not all finite (D = 0, a non-square D > 0, c = 0 on a square
 D), where ``solve_square`` answers without a loop step.
 
@@ -128,6 +132,16 @@ def test_solve_square_long_axis(benchmark, monkeypatch, gram):
     benchmark.group = "solve_square-long-axis"
     benchmark.extra_info.update(gram=gram, c=10**12, steps=steps(F, 10**12, monkeypatch))
     result = benchmark(solve_square, F, 10**12)
+    assert result.complete and len(result.vectors) == 28
+
+
+def test_solve_square_unreduced_definite(benchmark, monkeypatch):
+    gram, c = [[5, 7], [7, 10]], 10**6
+    F = QuadraticForm.from_rows(gram)
+    benchmark.group = "solve_square-long-axis"
+    benchmark.extra_info.update(gram=gram, c=c, steps=steps(F, c, monkeypatch))
+    assert benchmark.extra_info["steps"] == 2001
+    result = benchmark(solve_square, F, c)
     assert result.complete and len(result.vectors) == 28
 
 

@@ -72,20 +72,20 @@ MUTANTS = (
     # the per-key memo of infinitude_report and the key (N, w) of family_bounds
     Mutant("rigidity-key-without-w", "obstruct.py",
            "        if (N, w) not in rigid:\n"
-           "            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)\n"
+           "            rigid[N, w] = class_rigidity(rep), classify(rep.manifold.form)\n"
            "            representatives.append(rep.manifold)\n"
            "        rows.append((p, bound.lower_bound, *rigid[N, w]))\n",
            "        if N not in rigid:\n"
-           "            rigid[N] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)\n"
+           "            rigid[N] = class_rigidity(rep), classify(rep.manifold.form)\n"
            "            representatives.append(rep.manifold)\n"
            "        rows.append((p, bound.lower_bound, *rigid[N]))\n", OBSTRUCT),
     Mutant("rigidity-key-without-N", "obstruct.py",
            "        if (N, w) not in rigid:\n"
-           "            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)\n"
+           "            rigid[N, w] = class_rigidity(rep), classify(rep.manifold.form)\n"
            "            representatives.append(rep.manifold)\n"
            "        rows.append((p, bound.lower_bound, *rigid[N, w]))\n",
            "        if w not in rigid:\n"
-           "            rigid[w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)\n"
+           "            rigid[w] = class_rigidity(rep), classify(rep.manifold.form)\n"
            "            representatives.append(rep.manifold)\n"
            "        rows.append((p, bound.lower_bound, *rigid[w]))\n", OBSTRUCT),
     Mutant("w-fixed-to-(0, 1)", "obstruct.py",
@@ -107,6 +107,15 @@ MUTANTS = (
            "(p * p - q + 1, 1)", "(p * p - q, 1)", SURGERY_AND_CLI),
     Mutant("c1-is-(0, 1 - p)", "surgery.py",
            "(0, -1 - p)", "(0, 1 - p)", SURGERY_AND_CLI),
+    # the basis of _canonical_binary and solve_square on the reduced form
+    Mutant("reduction-basis-unmirrored", "quadform.py",
+           "(u, w if b >= 0 else (-w[0], -w[1]))", "(u, w)", QUADFORM),
+    Mutant("isotropic-u-unflipped", "quadform.py",
+           "            x, y = -x, -y\n", "            pass\n", QUADFORM),
+    Mutant("isotropic-w-unsheared", "quadform.py",
+           "(ws - t * x, wt - t * y)", "(ws, wt)", QUADFORM),
+    Mutant("definite-sweep-bounded-by-d", "quadform.py",
+           "ymax = isqrt(a * c // -D)", "ymax = isqrt(d * c // -D)", QUADFORM),
     # the +-s rigidity test
     Mutant("plus-minus-without-complete", "quadform.py",
            "return self.complete and set(self.vectors)", "return set(self.vectors)", QUADFORM),

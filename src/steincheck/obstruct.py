@@ -9,8 +9,8 @@ from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 from .handle import AlgebraicFourManifold, chern_eval
-from .intlin import IntMatrix, _Record
-from .quadform import QuadraticForm, classify, form_key, is_isomorphic, pairing, solve_square
+from .intlin import _Record
+from .quadform import classify, form_key, is_isomorphic, pairing, solve_square
 from .surgery import LogTransformFamilyMember, _member_terms, _shear, family_parameter, x_family
 
 CLASS_RIGIDITY_NOTE = (
@@ -173,12 +173,9 @@ def homeo_classes(manifolds: Sequence[AlgebraicFourManifold]) -> HomeoClasses:
 
 def class_rigidity(member: LogTransformFamilyMember) -> bool:
     """Whether the distinguished class is, up to sign, the unique class of
-    its square.  True only when the solution set is provably complete and
-    equals {s, -s}."""
-    return _is_rigid(member.manifold.form, member.s_class)
-
-
-def _is_rigid(form: QuadraticForm, s: tuple[int, int]) -> bool:
+    its square, the one rigidity decision: True only when the solution set
+    is provably complete and equals {s, -s}."""
+    form, s = member.manifold.form, member.s_class
     return solve_square(form, pairing(form, s, s)).is_plus_minus(s)
 
 
@@ -190,15 +187,16 @@ def infinitude_report(parity: str, q_range: Iterable[int]) -> InfinitudeCertific
     argument: pairwise homeomorphism, class rigidity, and strictly
     increasing genus lower bounds on the distinguished classes.
 
-    Rigidity, the FormClass and the homeomorphism class are decided once per
-    key (N, w) of family_bounds: the det-1 shear maps {v : v.v = c} on F onto
-    {u : u.u = c} on N and s onto w, and F is congruent to the key's forms.
+    Rigidity (by class_rigidity), the FormClass and the homeomorphism class
+    are decided once per key (N, w) of family_bounds, on its representative:
+    a member's det-1 shear maps {v : v.v = c} on F onto {u : u.u = c} on N
+    and s onto w, and F is congruent to the key's forms.
     """
     rigid = {}  # (N, w) -> (verdict, FormClass), kept for this call only
     representatives, rows = [], []
     for _, p, (N, w), rep, bound in family_bounds(parity, q_range):
         if (N, w) not in rigid:
-            rigid[N, w] = _is_rigid(QuadraticForm(IntMatrix(2, 2, N)), w), classify(rep.manifold.form)
+            rigid[N, w] = class_rigidity(rep), classify(rep.manifold.form)
             representatives.append(rep.manifold)
         rows.append((p, bound.lower_bound, *rigid[N, w]))
     if not rows:

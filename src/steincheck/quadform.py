@@ -159,7 +159,7 @@ def form_key(F: QuadraticForm) -> Optional[tuple]:
     D = b * b - a * c
     s = isqrt(max(D, 0))
     if D < 0 or s * s == D:
-        return fc, _canonical_binary(a, b, c, D)
+        return fc, _canonical_binary(a, b, c, D)[0]
     form = a, b, c  # O(log |c|) steps reach 0 < b <= s, s - b < |a| <= s + b
     while not (0 < form[1] <= s and s - form[1] < abs(form[0]) <= s + form[1]):
         form = _rho(form, D, s)
@@ -172,31 +172,39 @@ def form_key(F: QuadraticForm) -> Optional[tuple]:
     return None
 
 
-def _canonical_binary(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
-    """Reduced GL2(Z) representative of [[a, b], [b, c]] for D <= 0 or D a square."""
+def _canonical_binary(a: int, b: int, c: int, D: int) -> tuple[tuple[int, int, int], Optional[tuple]]:
+    """(reduced, (u, w)) for [[a, b], [b, c]] with D <= 0 or D a square: its reduced
+    GL2(Z) representative and B = [u w], det B = +-1, with B^T F B = reduced (None for D = 0)."""
     if D < 0:
         # Lagrange reduction to 2|b| <= a <= c; the mirror diag(1, -1) flips b
         sign = 1 if a > 0 else -1
         a, b, c = sign * a, sign * b, sign * c
+        u, w = (1, 0), (0, 1)
         while True:
             k = (2 * b + a) // (2 * a)
             b, c = b - k * a, c - k * (2 * b - k * a)
+            w = w[0] - k * u[0], w[1] - k * u[1]
             if a <= c:
-                return sign * a, sign * abs(b), sign * c
-            a, c = c, a
+                return (sign * a, sign * abs(b), sign * c), (u, w if b >= 0 else (-w[0], -w[1]))
+            a, c, u, w = c, a, w, u
     if D == 0:
         # k (ux + vy)^2 with gcd(u, v) = 1 is equivalent to k x^2
-        return (gcd(a, c) if a + c > 0 else -gcd(a, c)), 0, 0
-    # primitive isotropic u, basis (u, w): [[0, +-r], [+-r, w.w]], w.w fixed mod 2r
+        return ((gcd(a, c) if a + c > 0 else -gcd(a, c)), 0, 0), None
+    # primitive isotropic u and w with det [u w] = 1 give [[0, +-r], [+-r, w.w]];
+    # u -> -u makes u.w = r, then w -> w - t u takes w.w to w.w mod 2r
     r = isqrt(D)
-    best = []
+    sides = []
     for x, y in [(r - b, a), (-r - b, a)] if a else [(1, 0), (c, -2 * b)]:
         h = gcd(x, y)
         x, y = x // h, y // h
         wt = pow(x, -1, abs(y)) if y else x
         ws = (x * wt - 1) // y if y else 0  # x wt - y ws = 1
-        best.append((a * ws * ws + 2 * b * ws * wt + c * wt * wt) % (2 * r))
-    return 0, r, min(best)
+        if x * (a * ws + b * wt) + y * (b * ws + c * wt) < 0:
+            x, y = -x, -y
+        t, n = divmod(a * ws * ws + 2 * b * ws * wt + c * wt * wt, 2 * r)
+        sides.append((n, (x, y), (ws - t * x, wt - t * y)))
+    n, u, w = min(sides)
+    return (0, r, n), (u, w)
 
 
 def _rho(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
@@ -232,17 +240,16 @@ def _divisors(n: int) -> list[int]:
 def solve_square(F: QuadraticForm, c: int) -> SquareSolutions:
     """All integer solutions (x, y) of v.v = c on a rank-2 form [[a, b], [b, d]].
 
-    D = b^2 - ad picks one exact method, since a Q = (ax + by)^2 - D y^2.  If
-    D = r^2 > 0 and c != 0, kQ = (px + qy)(sx + ty): k = 1 and the factors y,
-    2bx + dy after moving an isotropic basis vector first, else k = a and the
-    factors ax + (b -+ r)y; each signed divisor u of kc gives one linear
-    system.  If D < 0, y runs along the axis with the smaller |diagonal| entry,
-    y^2 <= min(|a|, |d|) |c| / -D, and x is a root of a quadratic.  If D > 0
-    is not a square, a Q = 0 only at (0, 0), the one solution of c = 0.  If
-    D = 0, Q = k (ux + vy)^2 with gcd(u, v) = 1 and k from _canonical_binary
-    (0 when Q = 0), and a c that is no k m^2 has no solution.
-    These sets are finite and returned complete.  Any other set is empty or
-    infinite, and is returned empty and incomplete.
+    D = b^2 - ad picks one exact method.  If D < 0, or D = r^2 > 0 and c != 0,
+    it solves on the reduced form of _canonical_binary and maps each solution
+    (x, y) back to x u + y w.  A square D reduces to (0, r, n): y (2rx + ny)
+    = c for a signed divisor y of c.  A D < 0 reduces to a form whose a is its
+    least value: a Q = (ax + by)^2 - D y^2 bounds y^2 <= ac / -D, and x is a
+    root of a quadratic.  If D > 0 is not a square, a Q = 0 only at (0, 0),
+    the one solution of c = 0.  If D = 0, Q = k (ux + vy)^2 with gcd(u, v) = 1
+    and k from _canonical_binary (0 when Q = 0), and a c that is no k m^2 has
+    no solution.  These sets are finite and returned complete.  Any other set
+    is empty or infinite, and is returned empty and incomplete.
     """
     if F.rank != 2:
         raise ValueError("solve_square requires a rank-2 form")
@@ -250,30 +257,24 @@ def solve_square(F: QuadraticForm, c: int) -> SquareSolutions:
     D = b * b - a * d
     r = isqrt(max(D, 0))
     if D == 0:
-        k = _canonical_binary(a, b, d, D)[0]
+        k = _canonical_binary(a, b, d, D)[0][0]
         lines = c == 0 or k != 0 and c % k == 0 and c // k > 0 and isqrt(c // k) ** 2 == c // k
         return SquareSolutions((), complete=not lines)
     if D > 0 and r * r != D and c == 0:
         return SquareSolutions(((0, 0),), complete=True)
     if not (D < 0 or D > 0 and r * r == D and c != 0):
         return SquareSolutions((), complete=False)
-    swap = abs(a) > abs(d) if D < 0 else d == 0
-    a, d = (d, a) if swap else (a, d)
-    sols = set()
-    if D > 0:
-        k, p, q, s, t = (1, 0, 1, 2 * b, d) if a == 0 else (a, a, b - r, a, b + r)
-        det = p * t - q * s
-        for u in _divisors(k * c):
-            for u in (u, -u):
-                w = k * c // u
-                x, y = u * t - q * w, p * w - s * u
-                if x % det == 0 and y % det == 0:
-                    sols.add((x // det, y // det))
+    (a, b, d), (u, w) = _canonical_binary(a, b, d, D)
+    if D > 0:  # y (2rx + dy) = c on the reduced (0, r, d)
+        sols = {((c // y - d * y) // (2 * r), y) for e in _divisors(c) for y in (e, -e)
+                if (c // y - d * y) % (2 * r) == 0}
     else:
+        sols = set()
         ymax = isqrt(a * c // -D) if a * c >= 0 else -1
         for y in range(-ymax, ymax + 1):
             disc = a * c + D * y * y
             root = isqrt(disc)
             if root * root == disc:
                 sols.update((n // a, y) for n in (root - b * y, -root - b * y) if n % a == 0)
-    return SquareSolutions(tuple(sorted(v[::-1] if swap else v for v in sols)), complete=True)
+    vectors = sorted((x * u[0] + y * w[0], x * u[1] + y * w[1]) for x, y in sols)
+    return SquareSolutions(tuple(vectors), complete=True)

@@ -242,6 +242,25 @@ class TestBinaryReduction:
                 assert is_isomorphic(F, image) == "yes", (a, b, c)
                 assert form_key(F) == form_key(image) is not None, (a, b, c)
 
+    def test_reduction_basis_reaches_the_reduced_form(self):
+        # for D < 0 or D a nonzero square, B = [u w] has det +-1 and B^T F B,
+        # computed here, is the reduced form: 2|b| <= |a| <= |c| with b of
+        # a's sign for D < 0, (0, r, n) with 0 <= n < 2r for D = r^2
+        for a, b, c in itertools.product(range(-8, 9), repeat=3):
+            D = b * b - a * c
+            r = isqrt(max(D, 0))
+            if D == 0 or D > 0 and r * r != D:
+                continue
+            reduced, (u, w) = quadform._canonical_binary(a, b, c, D)
+            assert u[0] * w[1] - u[1] * w[0] in (1, -1), (a, b, c)
+            dot = lambda v, x: a * v[0] * x[0] + b * (v[0] * x[1] + v[1] * x[0]) + c * v[1] * x[1]
+            assert (dot(u, u), dot(u, w), dot(w, w)) == reduced, (a, b, c)
+            ra, rb, rc = reduced
+            if D < 0:
+                assert 2 * abs(rb) <= abs(ra) <= abs(rc) and ra * rb >= 0, (a, b, c)
+            else:
+                assert ra == 0 and rb == r and 0 <= rc < 2 * r, (a, b, c)
+
     def test_definite_classes_match_reduced_form_table(self):
         # positive definite for even det, negative definite for odd det
         rng = random.Random(12)
@@ -487,17 +506,36 @@ class TestSolveSquare:
                 assert set(sols.vectors) == sweep_square_solutions([[a, b], [b, d]], c, bound), (a, b, d, c)
 
     def test_isotropic_forms_factor_c_not_ac(self, monkeypatch):
-        # moving the isotropic basis vector first keeps the divisor search at
-        # |c|, also when the Gram matrix is mirrored; other square-D forms
-        # search the divisors of ac
+        # every square-D form is solved on its reduced form (0, r, n), so the
+        # divisor search is over |c|, mirrored or not, and also when no basis
+        # vector is isotropic
         seen = []
         divisors = quadform._divisors
         monkeypatch.setattr(quadform, "_divisors", lambda n: seen.append(n) or divisors(n))
-        for gram in ([[0, 1], [1, -7]], [[-7, 1], [1, 0]], [[0, 2], [2, 0]]):
+        for gram in ([[0, 1], [1, -7]], [[-7, 1], [1, 0]], [[0, 2], [2, 0]], [[2, 3], [3, 4]],
+                     [[3, 7], [7, 15]]):
             solve_square(Q(gram), -30)
-        assert [abs(n) for n in seen] == [30, 30, 30]
+        assert [abs(n) for n in seen] == [30] * 5
         assert solve_square(Q([[2, 3], [3, 4]]), 5).complete
-        assert abs(seen[-1]) == 10
+        assert abs(seen[-1]) == 5
+
+    def test_definite_sweep_runs_on_the_reduced_form(self, monkeypatch):
+        # [[5, 7], [7, 10]] is x^2 + y^2 in disguise: the sweep runs over the
+        # reduced (1, 0, 1) with |y| <= 1000, not over |y| <= sqrt(5 c) = 2236
+        steps = []
+
+        def counted(*args):
+            steps.append(len(range(*args)))
+            return range(*args)
+
+        gram, c = [[5, 7], [7, 10]], 10**6
+        with monkeypatch.context() as m:
+            m.setattr(quadform, "range", counted, raising=False)
+            sols = solve_square(Q(gram), c)
+        assert sum(steps) == 2001
+        # x^2 + y^2 <= |c (a + d) / D| = 15 c, the bound of the all-small-forms test
+        assert sols.complete and len(sols.vectors) == 28
+        assert set(sols.vectors) == sweep_square_solutions(gram, c, isqrt(15 * c))
 
     def test_rank_checked(self):
         with pytest.raises(ValueError):
