@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 300  # seconds per pytest run; the whole list takes about 40 s
+TIMEOUT = 300  # seconds per pytest run; the whole list takes about 75 s
 
 
 class Mutant(NamedTuple):
@@ -95,11 +95,32 @@ MUTANTS = (
     Mutant("memo-kept-across-calls", "obstruct.py",
            "rigid = {}  # (N, w) -> (verdict, FormClass), kept for this call only",
            'rigid = infinitude_report.__dict__.setdefault("memo", {})', OBSTRUCT),
+    # the rules the certificate and the genus bound derive from their fields
     Mutant("bound-without-abs", "obstruct.py",
-           "abs(c1v) + vv + 2", "c1v + vv + 2", OBSTRUCT),
+           "abs(self.c1_pairing) + self.self_intersection + 2",
+           "self.c1_pairing + self.self_intersection + 2", OBSTRUCT),
     Mutant("bounds-increase-not-strict", "obstruct.py",
-           "all(a < b for a, b in zip(bounds, bounds[1:]))",
-           "all(a <= b for a, b in zip(bounds, bounds[1:]))", OBSTRUCT),
+           "all(a < b for a, b in zip(self.bounds, self.bounds[1:]))",
+           "all(a <= b for a, b in zip(self.bounds, self.bounds[1:]))", OBSTRUCT),
+    Mutant("conclusion-without-rigidity", "obstruct.py",
+           "self.all_homeomorphic and all(self.rigidity)", "self.all_homeomorphic", OBSTRUCT),
+    Mutant("conclusion-from-one-member", "obstruct.py",
+           "len(self.parameters) >= 2", "len(self.parameters) >= 1", OBSTRUCT),
+    Mutant("family-label-parities-swapped", "obstruct.py",
+           '"2q-1" if self.parity == "odd"', '"2q-1" if self.parity == "even"',
+           ("tests/test_cli.py",)),
+    # each classify field and the two rules FormClass derives from them
+    Mutant("signature-negated", "quadform.py",
+           "signature=pos - neg,", "signature=neg - pos,", QUADFORM),
+    Mutant("parity-test-inverted", "quadform.py",
+           'parity="even" if all(', 'parity="even" if not all(', QUADFORM),
+    Mutant("determinant-kept-when-a-zero-is-counted", "quadform.py",
+           "determinant=0 if zero else det,", "determinant=det,", QUADFORM),
+    Mutant("positive-and-negative-swapped", "quadform.py",
+           '"positive"\n        return "negative"', '"negative"\n        return "positive"',
+           QUADFORM),
+    Mutant("unimodular-without-abs", "quadform.py",
+           "return abs(self.determinant) == 1", "return self.determinant == 1", QUADFORM),
     # the one member formula, read by no test: the closed forms and goldens catch it
     Mutant("form-entry-minus-four", "surgery.py",
            "-2 * p * p + p - 3", "-2 * p * p + p - 4", SURGERY_AND_CLI),
@@ -133,6 +154,9 @@ MUTANTS = (
     # the closed-form shear and the symmetry check
     Mutant("shear-corner-entry-wrong", "surgery.py",
            "(ak_b + b) * k + c", "(ak_b - b) * k + c", ("tests/test_surgery.py",)),
+    # the Bezout row step of cokernel
+    Mutant("bezout-y-sign-flipped", "intlin.py",
+           "y = (1 - x * a) // b", "y = (x * a - 1) // b", INTLIN),
     Mutant("is-symmetric-always-true", "intlin.py",
            "return self.is_square and self.entries == tuple(zip(*self.entries))",
            "return True", ("tests/test_records.py",)),

@@ -308,17 +308,6 @@ def _bareiss(m: list[list[int]], rows: int, cols: int) -> tuple[int, int]:
     return min(rows, cols), sign * prev
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b), for a, b >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def cokernel(A: IntMatrix) -> AbelianGroup:
     """Z^rows modulo the column span of A.
 
@@ -353,8 +342,10 @@ def cokernel(A: IntMatrix) -> AbelianGroup:
                     q = b // a
                     ri[t:] = [(y - q * x) % N for x, y in zip(rt[t:], ri[t:])]
                 else:
-                    g, x, y = _xgcd(a, b)
+                    g = gcd(a, b)
                     a, b = a // g, b // g
+                    x = pow(a, -1, b)  # 0 when b = 1
+                    y = (1 - x * a) // b  # x a + y b = 1
                     rt[t:], ri[t:] = (
                         [(x * u + y * v) % N for u, v in zip(rt[t:], ri[t:])],
                         [(a * v - b * u) % N for u, v in zip(rt[t:], ri[t:])],

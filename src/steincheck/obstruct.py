@@ -21,15 +21,16 @@ CLASS_RIGIDITY_NOTE = (
 )
 
 
-class GenusBound(_Record, namedtuple(
-        "GenusBound", "class_coords self_intersection c1_pairing lower_bound")):
-    """Adjunction lower bound for the genus of embedded surfaces in a class.
-
-    lower_bound = max(0, ceil((|c1.v| + v.v + 2) / 2)), from the adjunction
-    inequality 2g - 2 >= v.v + |c1.v| for Stein domains.
-    """
+class GenusBound(_Record, namedtuple("GenusBound", "class_coords self_intersection c1_pairing")):
+    """Adjunction lower bound for the genus of embedded surfaces in a class."""
 
     __slots__ = ()
+
+    @property
+    def lower_bound(self) -> int:
+        """max(0, ceil((|c1.v| + v.v + 2) / 2)), from the adjunction
+        inequality 2g - 2 >= v.v + |c1.v| for Stein domains."""
+        return max(0, -(-(abs(self.c1_pairing) + self.self_intersection + 2) // 2))
 
     def to_json_obj(self) -> dict:
         return {
@@ -41,19 +42,33 @@ class GenusBound(_Record, namedtuple(
 
 
 class InfinitudeCertificate(_Record, namedtuple(
-        "InfinitudeCertificate", "family_label parity parameters bounds rigidity "
-        "all_homeomorphic bounds_increasing conclusion classes")):
+        "InfinitudeCertificate", "parity parameters bounds rigidity all_homeomorphic classes")):
     """Machine-checked record that a family contains infinitely many
     pairwise homeomorphic but mutually distinct smooth structures.
 
-    The conclusion is true only when the family has at least two members,
-    all members are pairwise homeomorphic, every member passes the
-    class-rigidity check, and the genus lower bounds strictly increase
-    along the parameters (``bounds_increasing``).  ``classes`` holds each
-    member's FormClass; the JSON form leaves out those two fields.
+    ``classes`` holds each member's FormClass; the JSON form leaves it and
+    ``bounds_increasing`` out.
     """
 
     __slots__ = ()
+
+    @property
+    def family_label(self) -> str:
+        return "log-transform family, %s parameters (p = %s)" % (
+            self.parity, "2q-1" if self.parity == "odd" else "2q")
+
+    @property
+    def bounds_increasing(self) -> bool:
+        """Whether the genus lower bounds strictly increase along the parameters."""
+        return all(a < b for a, b in zip(self.bounds, self.bounds[1:]))
+
+    @property
+    def conclusion(self) -> bool:
+        """True only when the family has at least two members, all members
+        are pairwise homeomorphic, every member passes the class-rigidity
+        check, and the bounds strictly increase."""
+        return (len(self.parameters) >= 2 and self.all_homeomorphic and all(self.rigidity)
+                and self.bounds_increasing)
 
     def to_json_obj(self) -> dict:
         return {
@@ -70,18 +85,12 @@ class InfinitudeCertificate(_Record, namedtuple(
 
 def adjunction_lower_bound(M: AlgebraicFourManifold, v: Sequence[int]) -> GenusBound:
     """Genus lower bound for smoothly embedded closed surfaces representing
-    the nonzero class v in a Stein-flagged manifold, by _genus_lower_bound."""
+    the nonzero class v in a Stein-flagged manifold."""
     if not any(v):
         raise ValueError("adjunction requires a homologically essential class")
     if not M.stein:
         raise ValueError("adjunction bound requires a manifold flagged as Stein")
-    vv = pairing(M.form, v, v)
-    c1v = chern_eval(M, v)
-    return GenusBound(tuple(v), vv, c1v, _genus_lower_bound(c1v, vv))
-
-
-def _genus_lower_bound(c1v: int, vv: int) -> int:
-    return max(0, -(-(abs(c1v) + vv + 2) // 2))  # ceil((|c1.v| + v.v + 2) / 2)
+    return GenusBound(tuple(v), pairing(M.form, v, v), chern_eval(M, v))
 
 
 def family_bounds(parity: str, q_range: Iterable[int]) -> Iterator[tuple]:
@@ -99,8 +108,7 @@ def family_bounds(parity: str, q_range: Iterable[int]) -> Iterator[tuple]:
             rep = x_family(p)
             first[key] = rep, adjunction_lower_bound(rep.manifold, rep.s_class).self_intersection
         rep, vv = first[key]
-        c1v = c1[0] * s0 + c1[1] * s1
-        yield q, p, key, rep, GenusBound((s0, s1), vv, c1v, _genus_lower_bound(c1v, vv))
+        yield q, p, key, rep, GenusBound((s0, s1), vv, c1[0] * s0 + c1[1] * s1)
 
 
 def _hypotheses_hold(M: AlgebraicFourManifold) -> bool:
@@ -206,21 +214,7 @@ def infinitude_report(parity: str, q_range: Iterable[int]) -> InfinitudeCertific
         raise ValueError("q_range must be strictly increasing")
     homeo = homeo_classes(representatives)
     all_homeo = len(homeo.representatives) == 1 and homeo.verdict(0, 0) == "homeomorphic"
-    increasing = all(a < b for a, b in zip(bounds, bounds[1:]))
-    conclusion = len(rows) >= 2 and all_homeo and all(rigidity) and increasing
-
-    return InfinitudeCertificate(
-        family_label="log-transform family, %s parameters (p = %s)"
-        % (parity, "2q-1" if parity == "odd" else "2q"),
-        parity=parity,
-        parameters=parameters,
-        bounds=bounds,
-        rigidity=rigidity,
-        all_homeomorphic=all_homeo,
-        bounds_increasing=increasing,
-        conclusion=conclusion,
-        classes=classes,
-    )
+    return InfinitudeCertificate(parity, parameters, bounds, rigidity, all_homeo, classes)
 
 
 def certificate_text(cert: InfinitudeCertificate) -> str:
@@ -255,6 +249,7 @@ def certificate_text(cert: InfinitudeCertificate) -> str:
 def certificate_csv_rows(cert: InfinitudeCertificate) -> list[list[str]]:
     """Rows (p, parity, form-class, bound, rigidity) for spreadsheet export."""
     rows = [["p", "parity", "form_class", "bound", "rigidity"]]
+    described = {fc: fc.describe() for fc in set(cert.classes)}
     for p, bound, rigid, fc in zip(cert.parameters, cert.bounds, cert.rigidity, cert.classes):
-        rows.append([str(p), cert.parity, fc.describe(), str(bound), str(rigid).lower()])
+        rows.append([str(p), cert.parity, described[fc], str(bound), str(rigid).lower()])
     return rows

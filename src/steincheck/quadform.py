@@ -63,12 +63,25 @@ class QuadraticForm(_Record, namedtuple("QuadraticForm", "gram labels")):
         return cls(matrix_from_json(obj["gram"]), labels)
 
 
-class FormClass(_Record, namedtuple(
-        "FormClass", "rank signature parity definiteness unimodular determinant")):
-    """Classification data of an integral symmetric form; ``determinant`` is
-    0 for a degenerate form."""
+class FormClass(_Record, namedtuple("FormClass", "rank signature parity determinant")):
+    """Classification data of an integral symmetric form.  ``determinant`` is
+    0 exactly for a degenerate form, since a nondegenerate form's determinant
+    is never 0; definiteness and unimodularity follow from the fields."""
 
     __slots__ = ()
+
+    @property
+    def definiteness(self) -> str:
+        if self.determinant == 0:
+            return "degenerate"
+        # nondegenerate, so signature = rank exactly when no eigenvalue is negative
+        if self.signature == self.rank:
+            return "positive"
+        return "negative" if self.signature == -self.rank else "indefinite"
+
+    @property
+    def unimodular(self) -> bool:
+        return abs(self.determinant) == 1
 
     def to_json_obj(self) -> dict:
         return {
@@ -96,21 +109,11 @@ def classify(F: QuadraticForm) -> FormClass:
         return F._class
     rank = F.rank
     pos, neg, zero, det = _symmetric_bareiss(F.gram.to_lists(), rank)
-    if zero > 0:
-        definiteness = "degenerate"
-    elif pos == rank:
-        definiteness = "positive"
-    elif neg == rank:
-        definiteness = "negative"
-    else:
-        definiteness = "indefinite"
     fc = FormClass(
         rank=rank,
         signature=pos - neg,
         # even iff v.v is even for every v, i.e. every diagonal entry is even
         parity="even" if all(F.gram.entries[i][i] % 2 == 0 for i in range(rank)) else "odd",
-        definiteness=definiteness,
-        unimodular=not zero and abs(det) == 1,
         determinant=0 if zero else det,
     )
     object.__setattr__(F, "_class", fc)  # the one write past __setattr__

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from steincheck.handle import AlgebraicFourManifold
 from steincheck.intlin import IntMatrix
 from steincheck.obstruct import (
     CLASS_RIGIDITY_NOTE,
+    GenusBound,
     adjunction_lower_bound,
     certificate_csv_rows,
     certificate_text,
@@ -80,6 +82,12 @@ class TestAdjunctionLowerBound:
         b = adjunction_lower_bound(m.manifold, (0, 1))
         # (|3| - 2 + 2) / 2 = 3/2, so the genus bound is 2
         assert b.lower_bound == 2
+
+    def test_lower_bound_is_the_adjunction_formula(self):
+        for c1v in range(-20, 21):
+            for vv in range(-20, 21):
+                expected = max(0, math.ceil((abs(c1v) + vv + 2) / 2))
+                assert GenusBound((1, 0), vv, c1v).lower_bound == expected
 
 
 class TestHomeoDecide:
@@ -317,6 +325,16 @@ class TestInfinitudeReport:
     def test_single_member_certifies_nothing(self):
         cert = infinitude_report("odd", [1])
         assert not cert.conclusion
+
+    def test_each_failed_check_makes_the_conclusion_false(self):
+        cert = infinitude_report("odd", range(1, 4))
+        assert cert.conclusion
+        one_member = cert._replace(parameters=cert.parameters[:1], bounds=cert.bounds[:1],
+                                   rigidity=cert.rigidity[:1], classes=cert.classes[:1])
+        for broken in (one_member, cert._replace(all_homeomorphic=False),
+                       cert._replace(rigidity=(True, False, True)),
+                       cert._replace(bounds=(1, 2, 2))):
+            assert not broken.conclusion
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

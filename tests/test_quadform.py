@@ -17,6 +17,8 @@ from steincheck.quadform import (
 )
 
 from oracles import (
+    charpoly_inertia,
+    fraction_determinant,
     orbit_classes,
     random_symmetric_matrix,
     random_unimodular_matrix,
@@ -64,6 +66,11 @@ class TestClassify:
         assert fc.signature == 0
         assert not fc.unimodular
 
+    def test_rank_zero_form_is_positive_and_unimodular(self):
+        fc = classify(Q([]))
+        assert fc == (0, 0, "even", 1)
+        assert fc.definiteness == "positive" and fc.unimodular
+
     def test_definite_forms(self):
         assert classify(Q([[2, 0], [0, 3]])).definiteness == "positive"
         assert classify(Q([[-1, 0], [0, -5]])).definiteness == "negative"
@@ -72,6 +79,19 @@ class TestClassify:
         for p in range(1, 101):
             fc = classify(family_form(p))
             assert fc.unimodular and fc.signature == 0
+
+    @staticmethod
+    def expected_definiteness(rows):
+        pos, neg, zero = charpoly_inertia(rows)
+        return ("degenerate" if zero else "positive" if not neg
+                else "negative" if not pos else "indefinite")
+
+    def test_binary_definiteness_and_unimodularity_match_the_oracles(self):
+        for a, b, c in itertools.product(range(-6, 7), repeat=3):
+            rows = [[a, b], [b, c]]
+            fc = classify(Q(rows))
+            assert fc.definiteness == self.expected_definiteness(rows), rows
+            assert fc.unimodular == (abs(fraction_determinant(rows)) == 1), rows
 
     def test_determinant_matches_bareiss_determinant(self):
         # dense forms, and forms of rank < n carried by a unimodular B
@@ -90,8 +110,8 @@ class TestClassify:
                 fc = classify(F)
                 assert fc.determinant == determinant(F.gram)
                 degenerate += fc.determinant == 0
-                assert (fc.definiteness == "degenerate") == (fc.determinant == 0)
-                assert fc.unimodular == (abs(fc.determinant) == 1)
+                assert fc.definiteness == self.expected_definiteness(rows)
+                assert fc.unimodular == (abs(fraction_determinant(rows)) == 1)
         assert degenerate >= 20
 
 
@@ -123,7 +143,9 @@ class TestClassKeptOnForm:
                     setattr(F, name, value)
                 with pytest.raises(AttributeError):
                     delattr(F, name)
-            assert classify(F) == (2, 0, "even", "indefinite", True, -1)
+            fc = classify(F)
+            assert fc == (2, 0, "even", -1)
+            assert fc.definiteness == "indefinite" and fc.unimodular
         assert not hasattr(F, "note") and F.gram.entries == ((0, 1), (1, -2))
 
     def test_replaced_gram_gets_its_own_class(self):
