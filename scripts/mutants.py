@@ -46,6 +46,7 @@ QUADFORM = ("tests/test_quadform.py",)
 OBSTRUCT = ("tests/test_obstruct.py",)
 INTLIN = ("tests/test_intlin.py",)
 SURGERY_AND_CLI = ("tests/test_surgery.py", "tests/test_cli.py")
+DISPATCH = ("tests/test_dispatch.py",)
 
 MUTANTS = (
     # form_key and the homeomorphism classes grouped by it
@@ -160,6 +161,14 @@ MUTANTS = (
     Mutant("is-symmetric-always-true", "intlin.py",
            "return self.is_square and self.entries == tuple(zip(*self.entries))",
            "return True", ("tests/test_records.py",)),
+    # the command path parsed by its own parser
+    Mutant("leftover-arguments-accepted", "cli.py",
+           "    if extras:\n"
+           '        _parser().error("unrecognized arguments: %s" % " ".join(extras))\n',
+           "", DISPATCH),
+    Mutant("leftovers-refused-by-the-leaf", "cli.py",
+           "args, extras = node.parse_known_args(argv[i:])",
+           "args, extras = node.parse_args(argv[i:]), []", DISPATCH),
 )
 
 

@@ -17,7 +17,7 @@ import io
 import json
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
 
 from .handle import (
@@ -65,7 +65,12 @@ def _load_json(path: str):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # with an indent, json encodes in Python, and json.dumps joins one list of
+    # every chunk; joining 8,192 chunks at a time keeps the peak near the
+    # output's size (the encoder yields no empty chunk, so "" marks the end)
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    batches = iter(lambda: "".join(islice(chunks, 8192)), "")
+    return "".join(chain(batches, ("\n",)))
 
 
 def _csv_text(rows: Iterable[Sequence]) -> str:
@@ -406,6 +411,35 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)
 
 
+@cache
+def _command_tree(parser: argparse.ArgumentParser):
+    """A leaf parser itself, or {command word: subtree} for a parser with
+    subcommands (argparse allows one subparsers action per parser).  Read off
+    the parser, so build_parser stays the one definition of the commands."""
+    sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if sub is None:
+        return parser
+    return {name: _command_tree(p) for name, p in sub.choices.items()}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What _parser().parse_args(argv) returns or prints, less the command
+    and subcommand names, which no handler reads.  An argv that starts with
+    a whole command path is parsed by that command's parser alone, which is
+    the call the nested walk ends in; the arguments it leaves get the error
+    the walk's top parser gives them.  Every other argv takes the walk."""
+    node, i = _command_tree(_parser()), 0
+    while isinstance(node, dict) and i < len(argv):
+        node = node.get(argv[i])
+        i += 1
+    if node is None or isinstance(node, dict):
+        return _parser().parse_args(argv)
+    args, extras = node.parse_known_args(argv[i:])
+    if extras:
+        _parser().error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     # argparse takes "-1..3" for an option, so "--q-range -1..3" (or any spelling
     # of an option without "=") is passed on as "--q-range=-1..3"
@@ -417,7 +451,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if long_option and value.startswith("-") and ".." in value:
             argv[i - 1] += "=" + argv.pop(i)
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

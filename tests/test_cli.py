@@ -451,6 +451,7 @@ class TestLemmaCommands:
     @pytest.mark.parametrize("argv", [
         ("lemma", "homeo", "--max-p", "200"),
         ("lemma", "homeo", "--max-p", "200", "--output", "csv"),
+        ("lemma", "homeo", "--max-p", "200", "--output", "json"),
         ("family", "x", "--p-range", "0..2000"),
     ], ids=" ".join)
     def test_peak_memory_is_a_small_multiple_of_the_output(self, argv):
@@ -736,6 +737,10 @@ SEQUENTIAL_CALLS = {
         ["family", "x", "--p", "1", "--p-range", "1..2"],
         ["family", "x", "--p", "1"],
     ),
+    "unrecognized-then-valid": (
+        ["d3", str(FIXTURES / "empty_link.json"), "extra"],
+        ["d3", str(FIXTURES / "empty_link.json")],
+    ),
     "p-then-p-range": (
         ["family", "x", "--p", "3"],
         ["family", "x", "--p-range", "0..2"],
@@ -761,5 +766,5 @@ def test_reused_parser_matches_fresh_processes(capsys, name):
         assert json.loads(in_process[1][1])["composed_with"] is None
     if name == "flag-then-no-flag":
         assert "stabilizes" in in_process[0][1] and "stabilizes" not in in_process[1][1]
-    if name == "usage-error-then-valid":
+    if name in ("usage-error-then-valid", "unrecognized-then-valid"):
         assert [code for code, _, _ in in_process] == [2, 0]
