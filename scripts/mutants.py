@@ -47,6 +47,8 @@ OBSTRUCT = ("tests/test_obstruct.py",)
 INTLIN = ("tests/test_intlin.py",)
 SURGERY_AND_CLI = ("tests/test_surgery.py", "tests/test_cli.py")
 DISPATCH = ("tests/test_dispatch.py",)
+READERS = ("tests/test_intlin.py", "tests/test_readers.py", "tests/test_cli.py")
+HANDLE = ("tests/test_handle.py",)
 
 MUTANTS = (
     # form_key and the homeomorphism classes grouped by it
@@ -161,14 +163,66 @@ MUTANTS = (
     Mutant("is-symmetric-always-true", "intlin.py",
            "return self.is_square and self.entries == tuple(zip(*self.entries))",
            "return True", ("tests/test_records.py",)),
-    # the command path parsed by its own parser
+    # the one integer reader: each refusal
+    Mutant("non-ascii-digits-accepted", "intlin.py",
+           "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",
+           READERS),
+    Mutant("digit-limit-message-unreplaced", "intlin.py",
+           "        try:\n"
+           "            return int(value)\n"
+           "        except ValueError:  # valid digits, so int() refused them for the digit limit\n"
+           '            raise ValueError("integer string of more than %d digits: %s"\n'
+           "                             % (sys.get_int_max_str_digits(), _clip(repr(value)))) from None\n",
+           "        return int(value)\n", READERS),
+    Mutant("boolean-accepted", "intlin.py",
+           "    if isinstance(value, bool):\n"
+           '        raise ValueError("expected an integer, got a boolean")\n',
+           "", READERS),
+    Mutant("non-integer-passed-through", "intlin.py",
+           'raise ValueError("expected an integer or decimal string, got %s" % _clip(repr(value)))',
+           "return value", READERS),
+    # each parameter domain, checked in the function that takes the value
+    Mutant("member-p-minus-one-accepted", "surgery.py",
+           '    if p < 0:\n        raise ValueError("family parameters must be >= 0")',
+           '    if p < -1:\n        raise ValueError("family parameters must be >= 0")',
+           SURGERY_AND_CLI),
+    Mutant("parity-name-unchecked", "surgery.py",
+           "    if parity not in (\"odd\", \"even\"):\n"
+           "        raise ValueError(\"parity must be 'odd' or 'even'\")\n",
+           "", SURGERY_AND_CLI),
+    Mutant("q-zero-accepted", "surgery.py", "if q < 1:", "if q < 0:", SURGERY_AND_CLI),
+    Mutant("fp-p-minus-one-accepted", "surgery.py",
+           '    if p < 0:\n        raise ValueError("mapping-class parameter',
+           '    if p < -1:\n        raise ValueError("mapping-class parameter', SURGERY_AND_CLI),
+    Mutant("v-family-p-zero-accepted", "surgery.py",
+           '    if p < 1:\n        raise ValueError("family parameter must be a positive integer")',
+           '    if p < 0:\n        raise ValueError("family parameter must be a positive integer")',
+           SURGERY_AND_CLI),
+    Mutant("max-p-zero-accepted", "cli.py", "if args.max_p < 1:", "if args.max_p < 0:",
+           ("tests/test_cli.py",)),
+    # each term of _d3_terms: d3 (its c1^2, sigma and chi), c1^2, sigma and det
+    Mutant("c1-square-negated", "handle.py",
+           "csq = Fraction(-m[-1][-1], det)", "csq = Fraction(m[-1][-1], det)", HANDLE),
+    Mutant("d3-sigma-negated", "handle.py",
+           "(csq - 3 * (pos - neg) - 2", "(csq - 3 * (neg - pos) - 2", HANDLE),
+    Mutant("d3-chi-without-the-one", "handle.py", "2 * (1 + L.n)", "2 * L.n", HANDLE),
+    Mutant("returned-sigma-negated", "handle.py",
+           "/ 4, csq, pos - neg, det", "/ 4, csq, neg - pos, det", HANDLE),
+    Mutant("returned-det-unsigned", "handle.py",
+           "/ 4, csq, pos - neg, det", "/ 4, csq, pos - neg, abs(det)", HANDLE),
+    # one parse per call, at the parser where the command words stop
     Mutant("leftover-arguments-accepted", "cli.py",
            "    if extras:\n"
-           '        _parser().error("unrecognized arguments: %s" % " ".join(extras))\n',
+           '        _command_tree()[0].error("unrecognized arguments: %s" % " ".join(extras))\n',
            "", DISPATCH),
     Mutant("leftovers-refused-by-the-leaf", "cli.py",
-           "args, extras = node.parse_known_args(argv[i:])",
-           "args, extras = node.parse_args(argv[i:]), []", DISPATCH),
+           "args, extras = parser.parse_known_args(argv[i:])",
+           "args, extras = parser.parse_args(argv[i:]), []", DISPATCH),
+    Mutant("walk-stops-one-word-early", "cli.py",
+           "while i < len(argv) and argv[i] in words:",
+           "while i < len(argv) and words.get(argv[i], (None, {}))[1]:", DISPATCH),
+    Mutant("every-argv-parsed-at-the-root", "cli.py",
+           "while i < len(argv) and argv[i] in words:", "while False:", DISPATCH),
 )
 
 

@@ -347,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     fx = family_sub.add_parser("x", help="log-transform family members and normalized forms")
     group = fx.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=_int_arg, help="single parameter (0 = untransformed member)")
-    group.add_argument("--p-range", dest="p_range", help="inclusive range A..B")
+    group.add_argument("--p-range", help="inclusive range A..B")
     _add_output(fx)
     fx.set_defaults(func=_cmd_family_x)
 
     lemma = sub.add_parser("lemma", help="family-wide verification tables")
     lemma_sub = lemma.add_subparsers(dest="subcommand", required=True)
     lh = lemma_sub.add_parser("homeo", help="pairwise homeomorphism table against the parity rule")
-    lh.add_argument("--max-p", dest="max_p", type=_int_arg, required=True)
+    lh.add_argument("--max-p", type=_int_arg, required=True)
     _add_output(lh, ("text", "json", "csv"))
     lh.set_defaults(func=_cmd_lemma_homeo)
     lb = lemma_sub.add_parser(
@@ -367,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gb = sub.add_parser("genus-bound", help="adjunction genus lower bounds along a family")
     gb.add_argument("--parity", choices=["odd", "even"], required=True)
-    gb.add_argument("--q-range", dest="q_range", required=True)
+    gb.add_argument("--q-range", required=True)
     _add_output(gb, ("text", "json", "csv"))
     gb.set_defaults(func=_cmd_genus_bound)
 
     cert = sub.add_parser("certificate", help="machine-checked infinitude certificate")
     cert.add_argument("--parity", choices=["odd", "even"], required=True)
-    cert.add_argument("--q-range", dest="q_range", required=True)
+    cert.add_argument("--q-range", required=True)
     _add_output(cert, ("text", "json", "csv"))
     cert.set_defaults(func=_cmd_certificate)
 
@@ -397,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc_sub = mc.add_subparsers(dest="subcommand", required=True)
     fp = mc_sub.add_parser("fp", help="the parametric mapping class and the summand check")
     fp.add_argument("--p", type=_int_arg, required=True)
-    fp.add_argument("--compose", dest="compose_q", type=_int_arg, default=None,
+    fp.add_argument("--compose", dest="compose_q", type=_int_arg,
                     help="right-compose with the mapping class of this parameter")
-    fp.add_argument("--check-stabilizes", dest="check_stabilizes", action="store_true",
+    fp.add_argument("--check-stabilizes", action="store_true",
                     help="exit 1 unless the Z+Z+0 summand is stabilized")
     _add_output(fp)
     fp.set_defaults(func=_cmd_mapping_class_fp)
@@ -407,36 +407,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# parse_args only reads the parser, so one instance per process serves every call
-_parser = cache(build_parser)
-
-
 @cache
-def _command_tree(parser: argparse.ArgumentParser):
-    """A leaf parser itself, or {command word: subtree} for a parser with
-    subcommands (argparse allows one subparsers action per parser).  Read off
-    the parser, so build_parser stays the one definition of the commands."""
+def _command_tree(parser: Optional[argparse.ArgumentParser] = None):
+    """(parser, {command word: node}) for the parser build_parser returns, and
+    a node of the same shape for each subcommand (argparse allows one
+    subparsers action per parser).  Parsing only reads a parser, so the tree
+    is built once per process, on the first run, and build_parser stays the
+    one definition of the commands."""
+    parser = build_parser() if parser is None else parser
     sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
-    if sub is None:
-        return parser
-    return {name: _command_tree(p) for name, p in sub.choices.items()}
+    return parser, {} if sub is None else {w: _command_tree(p) for w, p in sub.choices.items()}
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """What _parser().parse_args(argv) returns or prints, less the command
-    and subcommand names, which no handler reads.  An argv that starts with
-    a whole command path is parsed by that command's parser alone, which is
-    the call the nested walk ends in; the arguments it leaves get the error
-    the walk's top parser gives them.  Every other argv takes the walk."""
-    node, i = _command_tree(_parser()), 0
-    while isinstance(node, dict) and i < len(argv):
-        node = node.get(argv[i])
+    """What build_parser().parse_args(argv) returns or prints, less the
+    command and subcommand names, which no handler reads.  The leading command
+    words lead to the deepest parser they reach (the root, a group or a
+    command), and that parser alone parses the rest, which is the call the
+    nested walk ends in; the arguments it leaves get the error the walk's top
+    parser gives them."""
+    (parser, words), i = _command_tree(), 0
+    while i < len(argv) and argv[i] in words:
+        parser, words = words[argv[i]]
         i += 1
-    if node is None or isinstance(node, dict):
-        return _parser().parse_args(argv)
-    args, extras = node.parse_known_args(argv[i:])
+    args, extras = parser.parse_known_args(argv[i:])
     if extras:
-        _parser().error("unrecognized arguments: %s" % " ".join(extras))
+        _command_tree()[0].error("unrecognized arguments: %s" % " ".join(extras))
     return args
 
 

@@ -456,7 +456,7 @@ class TestLemmaCommands:
     ], ids=" ".join)
     def test_peak_memory_is_a_small_multiple_of_the_output(self, argv):
         # the handlers keep no copy of the answer beyond the text they return
-        cli._parser()  # built once per process, so outside the measurement
+        cli._command_tree()  # built once per process, so outside the measurement
         out = io.StringIO()
         started = not tracemalloc.is_tracing()
         tracemalloc.start()

@@ -1,10 +1,11 @@
-"""``cli.run`` parses an argv that starts with a whole command path with that
-command's parser alone.  The oracle here is the nested walk through every
-parser, ``build_parser().parse_args``: for each argv of the corpus, ``run``
-must give the same exit code, stdout and stderr either way, and hand its
-handler the same namespace, less the command and subcommand names, which no
-handler reads."""
+"""``cli.run`` parses each argv once, with the parser where its leading
+command words stop: the root, a group or a command.  The oracle here is the
+nested walk through every parser, ``build_parser().parse_args``: for each
+argv of the corpus, ``run`` must give the same exit code, stdout and stderr
+either way, and hand its handler the same namespace, less the command and
+subcommand names, which no handler reads."""
 
+import argparse
 from pathlib import Path
 
 import pytest
@@ -44,10 +45,14 @@ CORPUS = [
     )
 ]
 CORPUS += [argv for group in sorted({p[0] for p in VALID if len(p) == 2})
-           for argv in ([group], [group, "bogus"])]
+           for argv in ([group], [group, "bogus"], [group, "-h"])]
 CORPUS += [
     [],
     ["-h"],
+    ["-h", "d3"],
+    ["--bogus", "d3", LINK],
+    ["form", "--bogus", "classify", X_FORM],
+    ["form", "--", "classify", X_FORM],
     ["frobnicate"],
     ["--", "d3", LINK],
     ["d3", "--", LINK],
@@ -87,3 +92,18 @@ def test_dispatch_matches_the_nested_walk(capsys, monkeypatch, argv):
     nested = through_run(capsys, monkeypatch, lambda args: cli.build_parser().parse_args(args),
                          argv)
     assert dispatch == nested
+
+
+@pytest.mark.parametrize("path", VALID, ids=" ".join)
+def test_one_parse_per_call_at_the_command(monkeypatch, capsys, path):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(parser, *args, **kwargs):
+        calls.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert cli.run([*path, *VALID[path]]) == 0
+    capsys.readouterr()
+    assert calls == ["steincheck " + " ".join(path)]

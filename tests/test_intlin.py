@@ -486,6 +486,13 @@ class TestJson:
             assert str(err.value).endswith("... (%d characters)" % length)
             assert len(str(err.value)) < 120
 
+    def test_booleans_and_other_values_are_refused(self):
+        # json.load gives true as a bool, an int subclass, so it is refused before ints
+        with pytest.raises(ValueError, match="^expected an integer, got a boolean$"):
+            matrix_from_json([[True]])
+        with pytest.raises(ValueError, match=r"^expected an integer or decimal string, got 1\.5$"):
+            vector_from_json([1.5])
+
 
 def test_abelian_group_rendering():
     assert str(AbelianGroup(0, ())) == "0"
